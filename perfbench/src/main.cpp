@@ -152,7 +152,12 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(report.inputs_digest));
     std::cout << "workload " << settings.workload << ", seed " << settings.seed
               << ", inputs_digest " << digest << "\n";
-    for (const std::string& why : report.problems) std::cout << "FAILED: " << why << "\n";
+    // Failures go to both streams: stdout keeps them beside the result,
+    // stderr shows them to a caller that keeps only its tail.
+    for (const std::string& why : report.problems) {
+        std::cout << "FAILED: " << why << "\n";
+        std::cerr << "perfbench: FAILED: " << why << "\n";
+    }
 
     std::string metrics;
     for (const JsonValue& m : wanted) {
@@ -161,6 +166,7 @@ int main(int argc, char** argv) {
         if (it == report.metrics.end() || !std::isfinite(it->second)) {
             report.fail("metric " + name + " was not measured");
             std::cout << "FAILED: metric " << name << " was not measured\n";
+            std::cerr << "perfbench: FAILED: metric " << name << " was not measured\n";
             continue;
         }
         metrics += (metrics.empty() ? "" : ", ");

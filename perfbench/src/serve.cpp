@@ -3,8 +3,9 @@
 //  - serve_warm: every request is a cache hit; a 1x1 closed loop gives
 //    latency, a 4-connection x 16-deep pipelined closed loop throughput;
 //  - serve_mixed: an open loop at a fixed offered rate mixing hits,
-//    small cold specs, medium and heavy ones against a small cache with
-//    a fresh cache_dir, timed from each request's due time.
+//    small cold specs, medium and heavy ones against a cache below the
+//    working set with a fresh cache_dir, timed from each request's due
+//    time.
 // Every response is checked by fingerprint against
 // to_json(run_study(spec)) with "meta" cut out.
 #include <atomic>
@@ -38,13 +39,21 @@ namespace serve = chiplet::serve;
 
 namespace {
 
-/// Offered rate of serve_mixed, requests per second: about half the
+/// Offered rate of serve_mixed, requests per second: about a third of the
 /// capacity of the mix (about 490 req/s when overloaded on a 4-core host)
-/// at the commit that introduced this benchmark; see perfbench/README.md.
-constexpr double kMixedRate = 240.0;
+/// at the commit that introduced this benchmark.  At half capacity the
+/// p90 sat on the edge of queueing behind heavy requests and moved 18%
+/// between seeds, and a host running at half speed was overloaded; see
+/// perfbench/README.md.
+constexpr double kMixedRate = 160.0;
+constexpr int kMixedConnections = 4;
 /// serve_mixed server cache: below the working set, so cold inserts
-/// evict and write through to disk beside the hits.
-constexpr std::size_t kMixedCacheBytes = 256u << 10;
+/// evict and write through to disk beside the hits.  Its whole-result
+/// share (3/4, over 8 shards: 96 KiB a shard) holds the 32-entry hot set
+/// (about 4 KiB an entry) however the seed hashes it, so a restart finds
+/// all of it; at 256 KiB some seeds' hot entries overflowed a shard and
+/// set-up time doubled.
+constexpr std::size_t kMixedCacheBytes = 1u << 20;
 constexpr unsigned kReadTimeoutS = 60;
 
 struct Spec {
@@ -677,8 +686,10 @@ std::vector<Outcome> open_loop(unsigned short port, const std::vector<Arrival>& 
 }
 
 /// Generator lateness beyond which the schedule was not honoured and
-/// the run's latencies mean nothing.
-constexpr double kMaxLateP90Ms = 5.0;
+/// the run's latencies mean nothing: one connection's gap between
+/// arrivals, past which a connection's arrivals bunch up.  Lateness below
+/// it still counts, since every request is timed from its due time.
+constexpr double kMaxLateP90Ms = 1000.0 * kMixedConnections / kMixedRate;
 
 void mixed_workload(const Settings& settings, Tracer* tracer, Report& report) {
     const JsonValue paper = gen::load_paper_batch(settings.root);
@@ -696,31 +707,40 @@ void mixed_workload(const Settings& settings, Tracer* tracer, Report& report) {
     const std::vector<Arrival> arrivals =
         mixed_schedule(paper, settings.seed, settings.seconds, specs, hot_count, report);
 
+    // The first set-up evaluates every hot spec into a fresh cache_dir,
+    // writing each through with an fsync.  The timed set-ups restart the
+    // server on that directory, as a daemon restarts: actuary, server
+    // start, loading the hot entries, one hit per hot spec.  Timing the
+    // first one instead would time the host's disk.
     namespace fs = std::filesystem;
-    std::vector<double> setup_s;
+    const std::string cache_dir = settings.out_dir + "/mixed-cache";
+    fs::remove_all(cache_dir);
+    serve::ServerConfig config;
+    config.cache_bytes = kMixedCacheBytes;
+    config.cache_dir = cache_dir;
     Server s;
-    std::vector<std::string> prepopulated;
-    std::string cache_dir;
+    const std::vector<std::string> prepopulated = start_server(s, config, specs);
+    std::vector<double> setup_s;
+    std::vector<std::string> restarted;
     for (int rep = 0; rep < kSetupReps; ++rep) {
         s.stop();
-        cache_dir = settings.out_dir + "/mixed-cache-" + std::to_string(rep);
-        fs::remove_all(cache_dir);
-        serve::ServerConfig config;
-        config.cache_bytes = kMixedCacheBytes;
-        config.cache_dir = cache_dir;
         const auto start = Clock::now();
-        prepopulated = start_server(s, config, specs);
+        restarted = start_server(s, config, specs);
         setup_s.push_back(seconds_between(start, Clock::now()));
-        if (rep + 1 < kSetupReps) fs::remove_all(cache_dir);
     }
     compute_references(*s.actuary, specs, report);
     check_prepopulation(settings, settings.workload, specs, prepopulated, report);
+    for (std::size_t k = 0; k < hot_count; ++k) {
+        if (result_fingerprint(restarted[k]) != specs[k].expected) {
+            report.fail(specs[k].spec.name + ": response after restart is wrong");
+        }
+    }
 
     std::vector<double> late_ms;
     const auto t0 = Clock::now() + std::chrono::milliseconds(20);
     const std::size_t traced_from = arrivals.size() / 2;
-    const std::vector<Outcome> outcomes =
-        open_loop(s.port(), arrivals, t0, 4, tracer, traced_from, late_ms, report);
+    const std::vector<Outcome> outcomes = open_loop(s.port(), arrivals, t0, kMixedConnections,
+                                                    tracer, traced_from, late_ms, report);
 
     // Every cold spec is now known; check all answers.
     compute_references(*s.actuary, specs, report);

@@ -1,17 +1,9 @@
-// Cache-layer probe: the two warm paths PR'd on top of the study
-// compiler, each gated bit-identical against cold evaluation before any
-// timing is reported.
-//
-//   warm-start    a server restart with --cache-dir: the batch is priced
-//                 cold through a StudyCache with a persistent store
-//                 attached, then a brand-new cache is loaded from the
-//                 same directory and must answer every spec from disk —
-//                 byte-identical payloads, >= 5x faster than re-pricing.
-//   cross-study   two heavily overlapping batches with disjoint spec
-//                 bytes (the study cache can never help): priced
-//                 independently versus through one shared cross-study
-//                 CellStore, which re-uses batch A's priced cells for
-//                 batch B — >= 1.5x over the sum of parts.
+// Cache-layer probe: the warm-start path of a server restart with
+// --cache-dir, gated bit-identical against cold evaluation before any
+// timing is reported.  The batch is priced cold through a StudyCache
+// with a persistent store attached, then a brand-new cache is loaded
+// from the same directory and must answer every spec from disk —
+// byte-identical payloads, >= 5x faster than re-pricing.
 //
 // Like the other bench_* probes this has no Google-Benchmark dependency;
 // it is run by bench/run_benches.sh, emitting BENCH_cache.json.
@@ -32,11 +24,9 @@
 
 #include "core/actuary.h"
 #include "explore/cache_store.h"
-#include "explore/cell_store.h"
 #include "explore/montecarlo.h"
 #include "explore/study.h"
 #include "explore/study_cache.h"
-#include "explore/study_graph.h"
 #include "explore/study_json.h"
 #include "util/thread_pool.h"
 #include "wafer/die_cost_cache.h"
@@ -85,16 +75,6 @@ std::vector<chiplet::explore::StudySpec> warm_batch() {
             grid_spec("fig_coarse", 80.0), mc_spec};
 }
 
-std::vector<chiplet::explore::StudyResult> flatten(
-    const chiplet::explore::StudyGraphRun& run) {
-    std::vector<chiplet::explore::StudyResult> out;
-    for (const std::optional<chiplet::explore::StudyResult>& result :
-         run.results) {
-        if (result.has_value()) out.push_back(*result);
-    }
-    return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,7 +101,6 @@ int main(int argc, char** argv) {
     wafer::DieCostCache::global().set_enabled(false);
     ThreadPool::set_global_threads(threads);
 
-    // ---- workload A: restart warm-start from --cache-dir ----------------
     const std::vector<explore::StudySpec> specs = warm_batch();
     const std::string dir =
         (std::filesystem::temp_directory_path() /
@@ -182,79 +161,10 @@ int main(int argc, char** argv) {
             ? json_diff(explore::results_to_json(warm),
                         explore::results_to_json(cold), exact)
             : std::string("warm lookups incomplete");
-    const bool warm_identical = warm_complete && warm_diff.empty();
+    const bool identical = warm_complete && warm_diff.empty();
     const double warm_speedup = warm_s > 0.0 ? cold_s / warm_s : 0.0;
 
-    // ---- workload B: cross-study cell reuse ------------------------------
-    // Two "frames" of merged client requests — the batch shape
-    // bench_study_graph models — with identical grids but disjoint spec
-    // bytes across frames, so the whole-result study cache is blind
-    // between them and only the cell layer can carry work across.
-    // Sum of parts is the pre-compiler experience: every request priced
-    // by an independent run_study call, one frame after the other.
-    const auto frame = [](const std::string& tag) {
-        std::vector<explore::StudySpec> specs;
-        for (int i = 0; i < 5; ++i) {
-            specs.push_back(grid_spec(tag + "_fine", 20.0));
-        }
-        for (int i = 0; i < 3; ++i) {
-            specs.push_back(grid_spec(tag + "_coarse", 40.0));
-        }
-        return specs;
-    };
-    const std::vector<explore::StudySpec> batch_a = frame("frame_a");
-    const std::vector<explore::StudySpec> batch_b = frame("frame_b");
-
-    double parts_s = 1e300;
-    std::vector<explore::StudyResult> parts_b;
-    for (int r = 0; r < repeats; ++r) {
-        const auto start = Clock::now();
-        for (const explore::StudySpec& spec : batch_a) {
-            (void)explore::run_study(actuary, spec);
-        }
-        std::vector<explore::StudyResult> b;
-        for (const explore::StudySpec& spec : batch_b) {
-            b.push_back(explore::run_study(actuary, spec));
-        }
-        parts_s = std::min(parts_s, seconds_since(start));
-        parts_b = std::move(b);
-    }
-
-    // Compiled frames without a store: what the graph alone buys.  The
-    // store's marginal gain over this lands ungated in the artifact.
-    double nostore_s = 1e300;
-    for (int r = 0; r < repeats; ++r) {
-        const auto start = Clock::now();
-        (void)explore::run_study_graph(actuary, batch_a);
-        (void)explore::run_study_graph(actuary, batch_b);
-        nostore_s = std::min(nostore_s, seconds_since(start));
-    }
-
-    double shared_s = 1e300;
-    std::vector<explore::StudyResult> shared_b;
-    std::uint64_t store_hits = 0;
-    std::uint64_t b_unique = 0;
-    for (int r = 0; r < repeats; ++r) {
-        const auto start = Clock::now();
-        explore::CellStore store;
-        (void)explore::run_study_graph(actuary, batch_a, nullptr, &store);
-        const explore::StudyGraphRun b =
-            explore::run_study_graph(actuary, batch_b, nullptr, &store);
-        shared_s = std::min(shared_s, seconds_since(start));
-        shared_b = flatten(b);
-        store_hits = b.stats.store_hits;
-        b_unique = b.stats.unique_cells;
-    }
     wafer::DieCostCache::global().set_enabled(true);
-
-    const std::string cross_diff =
-        json_diff(explore::results_to_json(shared_b),
-                  explore::results_to_json(parts_b), exact);
-    const bool cross_identical = cross_diff.empty();
-    const double cross_speedup = shared_s > 0.0 ? parts_s / shared_s : 0.0;
-    const double store_gain = shared_s > 0.0 ? nostore_s / shared_s : 0.0;
-
-    const bool identical = warm_identical && cross_identical;
 
     std::ofstream json(out_path);
     if (!json) {
@@ -271,17 +181,8 @@ int main(int argc, char** argv) {
          << "  \"cold_wall_s\": " << cold_s << ",\n"
          << "  \"warm_wall_s\": " << warm_s << ",\n"
          << "  \"warm_speedup\": " << warm_speedup << ",\n"
-         << "  \"warm_bit_identical\": " << (warm_identical ? "true" : "false")
+         << "  \"warm_bit_identical\": " << (identical ? "true" : "false")
          << ",\n"
-         << "  \"cross_store_hits\": " << store_hits << ",\n"
-         << "  \"cross_unique_cells\": " << b_unique << ",\n"
-         << "  \"parts_wall_s\": " << parts_s << ",\n"
-         << "  \"nostore_wall_s\": " << nostore_s << ",\n"
-         << "  \"shared_wall_s\": " << shared_s << ",\n"
-         << "  \"cross_speedup\": " << cross_speedup << ",\n"
-         << "  \"cross_store_gain\": " << store_gain << ",\n"
-         << "  \"cross_bit_identical\": "
-         << (cross_identical ? "true" : "false") << ",\n"
          << "  \"bit_identical\": " << (identical ? "true" : "false") << "\n"
          << "}\n";
     json.close();
@@ -291,12 +192,8 @@ int main(int argc, char** argv) {
     }
 
     std::cout << "cache: warm-start " << cold_s << " s cold -> " << warm_s
-              << " s warm (speedup " << warm_speedup << "), cross-study "
-              << parts_s << " s parts -> " << shared_s
-              << " s shared (speedup " << cross_speedup << ")"
-              << (identical ? ""
-                            : "  [RESULTS DIVERGE: " + warm_diff + cross_diff +
-                                  "]")
+              << " s warm (speedup " << warm_speedup << ")"
+              << (identical ? "" : "  [RESULTS DIVERGE: " + warm_diff + "]")
               << "\n"
               << "wrote " << out_path << "\n";
     return identical ? 0 : 1;

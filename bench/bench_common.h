@@ -19,7 +19,8 @@ inline void print_header(const std::string& title) {
     std::cout << "\n" << rule << "\n= " << title << " =\n" << rule << "\n\n";
 }
 
-/// Prints a paper-claim vs measured line (collected into EXPERIMENTS.md).
+/// Prints a paper-claim vs measured line (deviations listed in
+/// docs/model.md#assumptions-and-known-deviations).
 inline void print_claim(const std::string& claim, const std::string& measured) {
     std::cout << "paper: " << claim << "\n  ours: " << measured << "\n";
 }

@@ -71,7 +71,7 @@ void print_figure() {
         "sum_{i=1..4} C(6+i-1, i) = " +
             std::to_string(fsmc_system_count(6, 4)) +
             " by the paper's own formula (and exact enumeration); the "
-            "119 in the text appears to be a typo — see EXPERIMENTS.md");
+            "119 in the text appears to be a typo — see docs/model.md#assumptions-and-known-deviations");
 }
 
 void BM_FsmcEnumeration(benchmark::State& state) {

@@ -98,7 +98,7 @@ else
     exit 1
 fi
 
-# ---- perf trajectory: persistent + cross-study cache layers -----------------
+# ---- perf trajectory: persistent study-cache warm start ---------------------
 if [[ -x "${BUILD_DIR}/bench_cache" ]]; then
     echo "== bench_cache =="
     "${BUILD_DIR}/bench_cache" "${OUT_DIR}/BENCH_cache.json"

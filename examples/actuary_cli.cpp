@@ -39,7 +39,6 @@
 #include "design/builder.h"
 #include "design/json_io.h"
 #include "explore/breakeven.h"
-#include "explore/cell_store.h"
 #include "explore/optimizer.h"
 #include "explore/study.h"
 #include "explore/study_graph.h"
@@ -163,12 +162,7 @@ int cmd_study_plan(const std::string& studies_path) {
     const std::vector<explore::StudySpec> specs =
         explore::load_studies_collecting(studies_path, parse_failures, &kept);
     const core::ChipletActuary actuary;
-    // A fresh CLI process starts with an empty cross-study cell store;
-    // passing one anyway keeps the planning surface identical to the
-    // server's (store_hits/misses are reported either way).
-    explore::CellStore cell_store;
-    const explore::StudyPlan plan =
-        explore::plan_studies(actuary, specs, &cell_store);
+    const explore::StudyPlan plan = explore::plan_studies(actuary, specs);
 
     std::vector<std::vector<std::string>> rows;
     for (const explore::StudyPlanEntry& entry : plan.studies) {
@@ -196,11 +190,7 @@ int cmd_study_plan(const std::string& studies_path) {
               << "cells: " << stats.cell_refs << " refs -> "
               << stats.unique_cells << " unique (" << stats.deduped_cells
               << " deduped, " << format_pct(stats.dedup_ratio())
-              << " dedup ratio)\n"
-              << "store: " << stats.store_hits << " of " << stats.unique_cells
-              << " unique cells already priced by the cross-study cell "
-                 "store (" << format_pct(stats.store_hit_rate())
-              << " warm)\n";
+              << " dedup ratio)\n";
     report_failures(parse_failures);
     return failure_exit_code(parse_failures);
 }
@@ -237,11 +227,10 @@ int cmd_serve(unsigned short port, std::size_t cache_mb,
     server.stop();
     const serve::StudyServer::Stats stats = server.stats();
     const explore::StudyCache::Stats cache = server.cache().stats();
-    const explore::CellStore::Stats cells = server.cell_store().stats();
     std::cout << "actuaryd: stopped after " << stats.requests
               << " requests on " << stats.connections << " connections ("
               << cache.hits << " cache hits, " << cache.misses
-              << " misses; " << cells.hits << " cross-study cell hits)\n";
+              << " misses)\n";
     if (!cache_dir.empty()) {
         const serve::MetricsSnapshot m = server.metrics();
         std::cout << "actuaryd: persisted " << m.disk.writes

@@ -2,11 +2,7 @@
 
 #include <bit>
 #include <cstring>
-#include <memory>
 #include <string_view>
-#include <utility>
-
-#include "explore/cell_store.h"
 
 namespace chiplet::explore {
 
@@ -36,25 +32,6 @@ struct Fnv {
         bytes(s.data(), s.size());
     }
 };
-
-/// Sweeps `systems` through the fault-isolated batch entry point, then
-/// wraps each filled result into the shared immutable object the table
-/// and the cross-study CellStore alias (explore/cell_store.h).
-void evaluate_into_shared(
-    const core::ChipletActuary& actuary,
-    const std::vector<design::System>& systems, bool re_only,
-    std::vector<std::shared_ptr<const core::SystemCost>>& costs,
-    std::vector<char>& filled) {
-    std::vector<core::SystemCost> raw;
-    actuary.evaluate_batch_isolated(systems, re_only, raw, filled);
-    costs.assign(systems.size(), nullptr);
-    for (std::size_t i = 0; i < systems.size(); ++i) {
-        if (filled[i] != 0) {
-            costs[i] =
-                std::make_shared<const core::SystemCost>(std::move(raw[i]));
-        }
-    }
-}
 
 }  // namespace
 
@@ -144,109 +121,9 @@ void CellTable::evaluate_all(const core::ChipletActuary& actuary) {
         // instead of aborting the batch — the study that owns it
         // re-evaluates during reduction and reports the error with the
         // engine's own message.
-        evaluate_into_shared(actuary, arrays.systems, re_only, arrays.costs,
-                             arrays.filled);
+        actuary.evaluate_batch_isolated(arrays.systems, re_only, arrays.costs,
+                                        arrays.filled);
     }
-}
-
-std::size_t CellTable::prefill_from(CellStore& store, std::uint64_t tech_hash) {
-    for (EvalArrays& arrays : arrays_) {
-        arrays.costs.resize(arrays.systems.size());
-        arrays.filled.assign(arrays.systems.size(), 0);
-        arrays.prefilled.assign(arrays.systems.size(), 0);
-    }
-    std::size_t hits = 0;
-    for (const Entry& entry : entries_) {
-        EvalArrays& arrays = arrays_[static_cast<std::size_t>(entry.eval)];
-        std::shared_ptr<const core::SystemCost> cost;
-        if (store.lookup(tech_hash, entry.eval, entry.hash,
-                         arrays.systems[entry.slot], cost)) {
-            arrays.costs[entry.slot] = std::move(cost);
-            arrays.filled[entry.slot] = 1;
-            arrays.prefilled[entry.slot] = 1;
-            ++hits;
-        }
-    }
-    return hits;
-}
-
-void CellTable::evaluate_pending(const core::ChipletActuary& actuary) {
-    for (std::size_t kind = 0; kind < 2; ++kind) {
-        EvalArrays& arrays = arrays_[kind];
-        if (arrays.systems.empty()) continue;
-        const bool re_only = kind == static_cast<std::size_t>(CellEval::re_only);
-        if (arrays.filled.size() != arrays.systems.size()) {
-            // No prefill ran for this table: the plain contiguous sweep.
-            evaluate_into_shared(actuary, arrays.systems, re_only,
-                                 arrays.costs, arrays.filled);
-            continue;
-        }
-        std::vector<std::uint32_t> pending;
-        for (std::uint32_t i = 0; i < arrays.systems.size(); ++i) {
-            if (arrays.filled[i] == 0) pending.push_back(i);
-        }
-        if (pending.empty()) continue;
-        if (pending.size() == arrays.systems.size()) {
-            // Store-cold: keep the zero-copy contiguous fast path.
-            evaluate_into_shared(actuary, arrays.systems, re_only,
-                                 arrays.costs, arrays.filled);
-            continue;
-        }
-        // Partially warm: sweep the cold subset compactly and scatter
-        // back.  Per-system costs are independent of batch composition
-        // (each system is its own one-member family), so the subset
-        // sweep is bit-identical to the slots a full sweep would fill.
-        std::vector<design::System> subset;
-        subset.reserve(pending.size());
-        for (const std::uint32_t i : pending) {
-            subset.push_back(arrays.systems[i]);
-        }
-        std::vector<core::SystemCost> subset_costs;
-        std::vector<char> subset_filled;
-        actuary.evaluate_batch_isolated(subset, re_only, subset_costs,
-                                        subset_filled);
-        for (std::size_t k = 0; k < pending.size(); ++k) {
-            if (subset_filled[k] == 0) continue;
-            arrays.costs[pending[k]] = std::make_shared<const core::SystemCost>(
-                std::move(subset_costs[k]));
-            arrays.filled[pending[k]] = 1;
-        }
-    }
-}
-
-std::size_t CellTable::publish_to(CellStore& store,
-                                  std::uint64_t tech_hash) const {
-    std::size_t published = 0;
-    for (const Entry& entry : entries_) {
-        const EvalArrays& arrays =
-            arrays_[static_cast<std::size_t>(entry.eval)];
-        if (entry.slot >= arrays.filled.size() ||
-            arrays.filled[entry.slot] == 0) {
-            continue;  // evaluation failed; nothing trustworthy to share
-        }
-        if (entry.slot < arrays.prefilled.size() &&
-            arrays.prefilled[entry.slot] != 0) {
-            continue;  // came from the store; re-inserting adds nothing
-        }
-        store.insert(tech_hash, entry.eval, entry.hash,
-                     arrays.systems[entry.slot], arrays.costs[entry.slot]);
-        ++published;
-    }
-    return published;
-}
-
-std::size_t CellTable::count_warm(const CellStore& store,
-                                  std::uint64_t tech_hash) const {
-    std::size_t warm = 0;
-    for (const Entry& entry : entries_) {
-        const EvalArrays& arrays =
-            arrays_[static_cast<std::size_t>(entry.eval)];
-        if (store.peek(tech_hash, entry.eval, entry.hash,
-                       arrays.systems[entry.slot])) {
-            ++warm;
-        }
-    }
-    return warm;
 }
 
 const core::SystemCost* CellTable::find(CellEval eval,
@@ -258,7 +135,7 @@ const core::SystemCost* CellTable::find(CellEval eval,
     if (arrays.filled.size() <= entry.slot || arrays.filled[entry.slot] == 0) {
         return nullptr;
     }
-    return arrays.costs[entry.slot].get();
+    return &arrays.costs[entry.slot];
 }
 
 // ---- CellMemoView ------------------------------------------------------------

@@ -21,15 +21,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/actuary.h"
 #include "design/system.h"
 
 namespace chiplet::explore {
-
-class CellStore;  // explore/cell_store.h
 
 /// Which evaluate entry point the cell denotes.
 enum class CellEval : std::uint8_t {
@@ -51,7 +48,7 @@ struct Cell {
 [[nodiscard]] std::uint64_t cell_hash(CellEval eval,
                                       const design::System& system);
 
-/// Deduplicated cell store of one tech group: interned during compile,
+/// Deduplicated cell table of one tech group: interned during compile,
 /// evaluated once in contiguous per-eval arrays, then served read-only
 /// to every study that references a cell.
 ///
@@ -88,29 +85,6 @@ public:
     /// re-evaluates and surfaces the authoritative error itself.
     void evaluate_all(const core::ChipletActuary& actuary);
 
-    /// Cross-study warm start (explore/cell_store.h): fills every
-    /// interned cell the store already holds under `tech_hash` (full
-    /// System equality verified by the store) and returns the hit
-    /// count.  Call before evaluate_pending; prefilled slots behave
-    /// exactly like evaluated ones for find().
-    std::size_t prefill_from(CellStore& store, std::uint64_t tech_hash);
-
-    /// evaluate_all restricted to the cells prefill_from left cold: the
-    /// pending subset is swept through the same fault-isolated batch
-    /// entry point (per-system costs are batch-composition independent,
-    /// so partial sweeps stay bit-identical to full ones).  Without a
-    /// preceding prefill this is exactly evaluate_all.
-    void evaluate_pending(const core::ChipletActuary& actuary);
-
-    /// Publishes every cell this table evaluated itself (filled and not
-    /// prefilled) into the store for future batches; returns the count.
-    std::size_t publish_to(CellStore& store, std::uint64_t tech_hash) const;
-
-    /// How many interned cells `store` already holds, without touching
-    /// counters or LRU order — the planning surface's peek.
-    [[nodiscard]] std::size_t count_warm(const CellStore& store,
-                                         std::uint64_t tech_hash) const;
-
     /// Post-evaluation probe: the memoised cost of (eval, system), or
     /// nullptr when the cell is unknown or its evaluation failed.
     /// Thread-safe (the table is immutable after evaluate_all).
@@ -127,12 +101,8 @@ private:
 
     struct EvalArrays {
         std::vector<design::System> systems;  ///< contiguous, intern order
-        /// Slot i prices systems[i].  Shared immutable objects: a
-        /// prefilled slot aliases the CellStore's entry (no deep copy on
-        /// a warm cell) and publish hands the store the same object.
-        std::vector<std::shared_ptr<const core::SystemCost>> costs;
+        std::vector<core::SystemCost> costs;  ///< slot i prices systems[i]
         std::vector<char> filled;             ///< 0 until evaluated OK
-        std::vector<char> prefilled;          ///< 1 = served by a CellStore
     };
 
     /// Entry index of (hash, eval, system), or npos.

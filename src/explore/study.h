@@ -119,7 +119,7 @@ struct StudyRunInfo {
     bool with_ledgers = false;
     /// Batch cell-memo counters (explore/study_graph.h): single-system
     /// evaluations this study's engine asked for that were served from
-    /// the compiled batch's shared cell store (`cell_hits`) versus
+    /// the compiled batch's shared cell table (`cell_hits`) versus
     /// priced by the engine itself (`cell_misses`).  Both stay zero for
     /// studies run outside a compiled batch or whose kind the compiler
     /// does not enumerate.
@@ -189,7 +189,6 @@ struct StudyResult {
     const core::ChipletActuary& actuary, std::span<const StudySpec> specs);
 
 class StudyCache;  // explore/study_cache.h
-class CellStore;   // explore/cell_store.h
 
 /// One study that could not be loaded or evaluated.  `index` is the
 /// position in whatever batch the caller submitted (callers that
@@ -211,12 +210,6 @@ struct StudyGraphStats {
     std::uint64_t cell_refs = 0;     ///< cell references enumerated
     std::uint64_t unique_cells = 0;  ///< distinct cells after interning
     std::uint64_t deduped_cells = 0; ///< cell_refs - unique_cells
-    /// Cross-study memoisation (explore/cell_store.h): of the batch's
-    /// unique cells, how many an earlier batch had already priced
-    /// (store_hits) versus evaluated here (store_misses).  Both stay
-    /// zero when no CellStore is attached.
-    std::uint64_t store_hits = 0;
-    std::uint64_t store_misses = 0;
 
     /// Fraction of enumerated cell references that another study (or an
     /// earlier reference in the same study) had already interned.
@@ -224,14 +217,6 @@ struct StudyGraphStats {
         return cell_refs > 0 ? static_cast<double>(deduped_cells) /
                                    static_cast<double>(cell_refs)
                              : 0.0;
-    }
-
-    /// Fraction of this batch's unique cells served by the cross-study
-    /// store instead of evaluation.
-    [[nodiscard]] double store_hit_rate() const {
-        const double total = static_cast<double>(store_hits) +
-                             static_cast<double>(store_misses);
-        return total > 0.0 ? static_cast<double>(store_hits) / total : 0.0;
     }
 };
 
@@ -250,13 +235,11 @@ struct StudyBatchOutcome {
 /// first one: a batch with bad studies still evaluates every good one.
 /// ParseError (bad tech override) reports stage "parse"; every other
 /// chiplet::Error reports stage "model".  With a cache, hits skip
-/// evaluation and are flagged via StudyRunInfo::from_cache; with a
-/// cell store, cells priced by earlier batches prefill the compiled
-/// graph (StudyGraphStats::store_hits).  Payloads stay bit-identical
-/// to a serial cacheless run either way.
+/// evaluation and are flagged via StudyRunInfo::from_cache.  Payloads
+/// stay bit-identical to a serial cacheless run either way.
 [[nodiscard]] StudyBatchOutcome run_studies_collecting(
     const core::ChipletActuary& actuary, std::span<const StudySpec> specs,
-    StudyCache* cache = nullptr, CellStore* cell_store = nullptr);
+    StudyCache* cache = nullptr);
 
 /// Combines loader-stage and run-stage failures into one document-order
 /// report: every run failure's batch index is remapped through

@@ -252,12 +252,11 @@ StudyResult run_study_cached(const core::ChipletActuary& actuary,
 
 StudyBatchOutcome run_studies_collecting(const core::ChipletActuary& actuary,
                                          std::span<const StudySpec> specs,
-                                         StudyCache* cache,
-                                         CellStore* cell_store) {
+                                         StudyCache* cache) {
     // The compiled execution graph (explore/study_graph.h) shares cost
     // cells across overlapping studies and serves byte-identical specs
     // once; payloads stay bit-identical to a serial cacheless loop.
-    StudyGraphRun run = run_study_graph(actuary, specs, cache, cell_store);
+    StudyGraphRun run = run_study_graph(actuary, specs, cache);
 
     StudyBatchOutcome out;
     out.graph = run.stats;

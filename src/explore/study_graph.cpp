@@ -135,10 +135,6 @@ bool enumerate_cells(const core::ChipletActuary& effective,
 struct TechGroup {
     std::optional<core::ChipletActuary> patched;  ///< nullopt = base actuary
     CellTable table;
-    /// FNV-1a of the canonical tech-override document — the group's
-    /// identity inside a cross-study CellStore (the cell hash itself
-    /// deliberately excludes tech identity; see explore/cell.h).
-    std::uint64_t tech_hash = 0;
     bool failed = false;  ///< the override document does not apply
 };
 
@@ -210,7 +206,6 @@ CompiledBatch compile(const core::ChipletActuary& actuary,
         if (new_group) {
             batch.groups.emplace_back();
             TechGroup& group = batch.groups.back();
-            group.tech_hash = fnv1a64(group_key);
             if (!spec.tech_overrides.is_null()) {
                 try {
                     tech::TechLibrary lib = actuary.library();
@@ -273,20 +268,10 @@ CompiledBatch compile(const core::ChipletActuary& actuary,
 }  // namespace
 
 StudyPlan plan_studies(const core::ChipletActuary& actuary,
-                       std::span<const StudySpec> specs,
-                       const CellStore* cell_store) {
+                       std::span<const StudySpec> specs) {
     const CompiledBatch batch = compile(actuary, specs, /*cache=*/nullptr);
     StudyPlan plan;
     plan.stats = batch.stats;
-    if (cell_store != nullptr) {
-        for (const TechGroup& group : batch.groups) {
-            if (group.failed) continue;
-            plan.stats.store_hits +=
-                group.table.count_warm(*cell_store, group.tech_hash);
-        }
-        plan.stats.store_misses =
-            plan.stats.unique_cells - plan.stats.store_hits;
-    }
     plan.studies.reserve(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const CompiledStudy& cs = batch.studies[i];
@@ -307,28 +292,15 @@ StudyPlan plan_studies(const core::ChipletActuary& actuary,
 
 StudyGraphRun run_study_graph(const core::ChipletActuary& actuary,
                               std::span<const StudySpec> specs,
-                              StudyCache* cache, CellStore* cell_store) {
+                              StudyCache* cache) {
     CompiledBatch batch = compile(actuary, specs, cache);
 
     // Phase 1: evaluate every group's unique cells, once, slot-ordered
     // on the global pool.  Groups run in first-appearance order; inside
-    // a group the sweep is contiguous over the interned arrays.  A
-    // cross-study store short-circuits cells earlier batches priced and
-    // learns the ones this batch prices.
+    // a group the sweep is contiguous over the interned arrays.
     for (TechGroup& group : batch.groups) {
         if (group.failed || group.table.size() == 0) continue;
-        const core::ChipletActuary& effective =
-            group.patched ? *group.patched : actuary;
-        if (cell_store != nullptr) {
-            const std::size_t warm =
-                group.table.prefill_from(*cell_store, group.tech_hash);
-            batch.stats.store_hits += warm;
-            batch.stats.store_misses += group.table.size() - warm;
-            group.table.evaluate_pending(effective);
-            group.table.publish_to(*cell_store, group.tech_hash);
-        } else {
-            group.table.evaluate_all(effective);
-        }
+        group.table.evaluate_all(group.patched ? *group.patched : actuary);
     }
 
     StudyGraphRun run;

@@ -68,13 +68,8 @@ struct StudyPlan {
 /// stays opaque, how many unique cells the execution graph holds.  No
 /// cost model runs; a spec whose tech overrides fail to apply simply
 /// plans as non-enumerable (the error surfaces when the batch runs).
-/// With a cell store, the plan additionally peeks how many of the
-/// batch's unique cells earlier batches already priced
-/// (StudyGraphStats::store_hits / store_misses) without touching the
-/// store's counters or LRU order.
 [[nodiscard]] StudyPlan plan_studies(const core::ChipletActuary& actuary,
-                                     std::span<const StudySpec> specs,
-                                     const CellStore* cell_store = nullptr);
+                                     std::span<const StudySpec> specs);
 
 /// Raw graph execution outcome: one slot per submitted spec, holding
 /// either the result or the original exception (ParseError for bad
@@ -89,16 +84,10 @@ struct StudyGraphRun {
 
 /// Compiles and executes the batch.  With a cache, primaries are looked
 /// up before compilation (hits contribute no cells) and fresh results
-/// are inserted after evaluation.  With a cell store
-/// (explore/cell_store.h), every group's table is prefilled from cells
-/// earlier batches priced and newly evaluated cells are published back
-/// — cross-study reuse at cell granularity, still bit-identical
-/// because the store verifies full System equality and only ever
-/// returns costs these same entry points produced.  Per-study cell
-/// memo counters land in each result's StudyRunInfo.
+/// are inserted after evaluation.  Per-study cell memo counters land
+/// in each result's StudyRunInfo.
 [[nodiscard]] StudyGraphRun run_study_graph(const core::ChipletActuary& actuary,
                                             std::span<const StudySpec> specs,
-                                            StudyCache* cache = nullptr,
-                                            CellStore* cell_store = nullptr);
+                                            StudyCache* cache = nullptr);
 
 }  // namespace chiplet::explore

@@ -1,4 +1,6 @@
-// Markdown emitters for experiment reports (EXPERIMENTS.md tables).
+// Markdown emitters for experiment reports (measured-vs-paper tables;
+// the known deviations are listed in
+// docs/model.md#assumptions-and-known-deviations).
 #pragma once
 
 #include <string>

@@ -58,9 +58,8 @@ struct EventLoop::Impl {
         bool announce_after_flush = false;
         bool in_drain = false;  ///< re-entrance guard for drain_pending
         /// Burst mode: queue_response skips the per-frame flush and the
-        /// caller sends the whole batch in one syscall — the reason a
-        /// pipelined burst costs one send(2) here but one per response
-        /// on the thread-per-connection transport.
+        /// caller sends the whole batch in one syscall, so a pipelined
+        /// burst costs one send(2) rather than one per response.
         bool corked = false;
         std::uint32_t interest = 0;  ///< epoll mask last installed
         Clock::time_point last_activity;

@@ -43,6 +43,13 @@ JsonValue response_root(const Envelope& envelope) {
     return v;
 }
 
+/// hits / (hits + misses), 0 before the first probe.
+double hit_rate(std::uint64_t hits, std::uint64_t misses) {
+    const double probes =
+        static_cast<double>(hits) + static_cast<double>(misses);
+    return probes > 0.0 ? static_cast<double>(hits) / probes : 0.0;
+}
+
 }  // namespace
 
 std::string to_string(Verb verb) {
@@ -134,9 +141,7 @@ JsonValue cache_stats_to_json(const explore::StudyCache::Stats& s) {
     v.set("rejected", static_cast<double>(s.rejected));
     v.set("entries", static_cast<double>(s.entries));
     v.set("bytes", static_cast<double>(s.bytes));
-    const double probes =
-        static_cast<double>(s.hits) + static_cast<double>(s.misses);
-    v.set("hit_rate", probes > 0.0 ? static_cast<double>(s.hits) / probes : 0.0);
+    v.set("hit_rate", hit_rate(s.hits, s.misses));
     return v;
 }
 
@@ -149,23 +154,14 @@ JsonValue graph_stats_to_json(const explore::StudyGraphStats& g) {
     v.set("unique_cells", static_cast<double>(g.unique_cells));
     v.set("deduped_cells", static_cast<double>(g.deduped_cells));
     v.set("dedup_ratio", g.dedup_ratio());
-    v.set("store_hits", static_cast<double>(g.store_hits));
-    v.set("store_misses", static_cast<double>(g.store_misses));
-    v.set("store_hit_rate", g.store_hit_rate());
     return v;
 }
 
-JsonValue cell_stats_to_json(const explore::CellStore::Stats& s) {
+JsonValue cell_counters_to_json(const CellCounters& c) {
     JsonValue v = JsonValue::object();
-    v.set("hits", static_cast<double>(s.hits));
-    v.set("misses", static_cast<double>(s.misses));
-    v.set("collisions", static_cast<double>(s.collisions));
-    v.set("insertions", static_cast<double>(s.insertions));
-    v.set("evictions", static_cast<double>(s.evictions));
-    v.set("rejected", static_cast<double>(s.rejected));
-    v.set("entries", static_cast<double>(s.entries));
-    v.set("bytes", static_cast<double>(s.bytes));
-    v.set("hit_rate", s.hit_rate());
+    v.set("hits", static_cast<double>(c.hits));
+    v.set("misses", static_cast<double>(c.misses));
+    v.set("hit_rate", hit_rate(c.hits, c.misses));
     return v;
 }
 
@@ -225,7 +221,7 @@ std::string encode_ok(Verb verb, const Envelope& envelope) {
 }
 
 std::string encode_stats_response(const explore::StudyCache::Stats& cache,
-                                  const explore::CellStore::Stats& cells,
+                                  const CellCounters& cells,
                                   std::uint64_t connections,
                                   std::uint64_t requests, std::uint64_t errors,
                                   std::uint64_t ledger_results,
@@ -243,7 +239,7 @@ std::string encode_stats_response(const explore::StudyCache::Stats& cache,
     v.set("op", to_string(Verb::stats));
     v.set("ok", true);
     v.set("cache", cache_stats_to_json(cache));
-    v.set("cells", cell_stats_to_json(cells));
+    v.set("cells", cell_counters_to_json(cells));
     v.set("server", std::move(server));
     v.set("graph", graph_stats_to_json(graph));
     v.set("model_version", model_version);
@@ -283,8 +279,6 @@ std::string encode_metrics_response(const MetricsSnapshot& metrics,
     graph.cell_refs = metrics.graph_cell_refs;
     graph.unique_cells = metrics.graph_unique_cells;
     graph.deduped_cells = metrics.graph_deduped_cells;
-    graph.store_hits = metrics.graph_store_hits;
-    graph.store_misses = metrics.graph_store_misses;
 
     JsonValue disk = JsonValue::object();
     disk.set("persistent", metrics.persistent);
@@ -302,7 +296,7 @@ std::string encode_metrics_response(const MetricsSnapshot& metrics,
     v.set("loop", std::move(loop));
     v.set("graph", graph_stats_to_json(graph));
     v.set("cache", cache_stats_to_json(metrics.cache));
-    v.set("cells", cell_stats_to_json(metrics.cells));
+    v.set("cells", cell_counters_to_json(metrics.cells));
     v.set("disk", std::move(disk));
     v.set("model_version", metrics.model_version);
     v.set("threads", metrics.threads);

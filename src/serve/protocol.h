@@ -34,9 +34,9 @@
 //            studies ({"index","name","stage","message"}).
 //   ping     {"op":"ping","ok":true}
 //   stats    {"op":"stats","ok":true,"cache":{... incl. "hit_rate"},
-//             "cells":{... lifetime cross-study cell store, incl.
-//             "hit_rate"},"server":{... incl. "ledger_results"},
-//             "graph":{... incl. "store_hits"/"store_hit_rate"},
+//             "cells":{"hits","misses","hit_rate"},
+//             "server":{... incl. "ledger_results"},
+//             "graph":{... incl. "cell_refs"/"unique_cells"},
 //             "model_version":"...","threads":N}
 //   metrics  {"op":"metrics","ok":true,"server":{...},"loop":{...},
 //             "cache":{...},"cells":{...},"disk":{"persistent":B,
@@ -61,7 +61,6 @@
 #include <vector>
 
 #include "explore/cache_store.h"
-#include "explore/cell_store.h"
 #include "explore/study.h"
 #include "explore/study_cache.h"
 #include "util/json.h"
@@ -131,6 +130,14 @@ struct RunMeta {
     explore::StudyGraphStats graph;
 };
 
+/// Lifetime sums of the per-batch cell memo counters
+/// (StudyRunInfo::cell_hits / cell_misses) over every served result —
+/// the "cells" object of the stats and metrics verbs.
+struct CellCounters {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+};
+
 /// Everything behind the "metrics" verb: cumulative server counters,
 /// instantaneous event-loop gauges, and lifetime loop counters — the
 /// numbers a load balancer (or the backpressure tests) wants.
@@ -157,14 +164,8 @@ struct MetricsSnapshot {
     std::uint64_t graph_cell_refs = 0;     ///< cost-cell references enumerated
     std::uint64_t graph_unique_cells = 0;  ///< cells actually evaluated
     std::uint64_t graph_deduped_cells = 0; ///< refs served by sharing
-    /// Cross-study cell memoisation (explore/cell_store.h): of the
-    /// unique cells compiled across every run request, how many an
-    /// earlier batch had already priced.
-    std::uint64_t graph_store_hits = 0;
-    std::uint64_t graph_store_misses = 0;
     explore::StudyCache::Stats cache;
-    /// Lifetime counters of the process-wide cell store itself.
-    explore::CellStore::Stats cells;
+    CellCounters cells;
     // -- persistence (explore/cache_store.h) -------------------------------
     bool persistent = false;  ///< a --cache-dir store is attached
     explore::StudyCacheStore::Stats disk;  ///< zeros when not persistent
@@ -187,13 +188,12 @@ struct MetricsSnapshot {
     const Envelope& envelope = {});
 [[nodiscard]] std::string encode_ok(Verb verb, const Envelope& envelope = {});
 /// `graph` carries the lifetime sums of the study-compiler counters
-/// (cell_refs / unique_cells / deduped_cells / spec_dedups, plus the
-/// cross-study store_hits / store_misses) across every run request
-/// served; `cells` is the process-wide cell store's own lifetime view
-/// and `model_version` the stamp persisted entries carry.
+/// (cell_refs / unique_cells / deduped_cells / spec_dedups) across every
+/// run request served, `cells` the lifetime cell memo counters and
+/// `model_version` the stamp persisted entries carry.
 [[nodiscard]] std::string encode_stats_response(
-    const explore::StudyCache::Stats& cache,
-    const explore::CellStore::Stats& cells, std::uint64_t connections,
+    const explore::StudyCache::Stats& cache, const CellCounters& cells,
+    std::uint64_t connections,
     std::uint64_t requests, std::uint64_t errors, std::uint64_t ledger_results,
     const explore::StudyGraphStats& graph, unsigned threads,
     const std::string& model_version, const Envelope& envelope = {});

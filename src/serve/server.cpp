@@ -1,21 +1,11 @@
 #include "serve/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -29,32 +19,6 @@
 
 namespace chiplet::serve {
 
-namespace {
-
-/// send(2) until the whole buffer is out; false on a broken connection.
-/// MSG_NOSIGNAL keeps a client that hung up from killing the server
-/// with SIGPIPE.  (thread_per_connection transport only — the event
-/// loop writes through its own non-blocking path.)
-bool send_all(int fd, const std::string& data) {
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-        const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                                 MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-bool is_blank(const std::string& line) {
-    return line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
-}  // namespace
-
 struct StudyServer::Impl {
     const core::ChipletActuary& actuary;
     ServerConfig config;
@@ -66,10 +30,9 @@ struct StudyServer::Impl {
     // Declared before `cache` so the attached store outlives it.
     std::optional<explore::StudyCacheStore> store;
     explore::StudyCache cache;
-    explore::CellStore cell_store;
     std::optional<Dispatcher> dispatcher;
 
-    // Protocol-level counters, shared by both transports.
+    // Protocol-level counters.
     std::atomic<std::uint64_t> connections{0};
     std::atomic<std::uint64_t> requests{0};
     std::atomic<std::uint64_t> errors{0};
@@ -81,41 +44,24 @@ struct StudyServer::Impl {
     std::atomic<std::uint64_t> graph_cell_refs{0};
     std::atomic<std::uint64_t> graph_unique_cells{0};
     std::atomic<std::uint64_t> graph_deduped_cells{0};
-    std::atomic<std::uint64_t> graph_store_hits{0};
-    std::atomic<std::uint64_t> graph_store_misses{0};
+    // Lifetime sums of every served result's cell memo counters.
+    std::atomic<std::uint64_t> cell_hits{0};
+    std::atomic<std::uint64_t> cell_misses{0};
 
     mutable std::mutex mutex;
     std::condition_variable shutdown_cv;
     bool running = false;
     bool shutdown_requested = false;
     unsigned short port = 0;
-
-    // -- event_loop transport ---------------------------------------------
     std::unique_ptr<EventLoop> loop;
-
-    // -- thread_per_connection transport ----------------------------------
-    int listen_fd = -1;
-    std::unordered_set<int> conn_fds;
-    std::thread accept_thread;
-    // One thread per live connection, keyed by its fd.  A handler moves
-    // its own thread object to `finished` on exit; the accept loop
-    // joins that list before each new connection, so a long-lived
-    // daemon does not accumulate a zombie thread per connection ever
-    // served.  stop() joins whatever remains.
-    std::unordered_map<int, std::thread> handlers;
-    std::vector<std::thread> finished;
 
     explicit Impl(const core::ChipletActuary& a, ServerConfig c)
         : actuary(a),
           config(std::move(c)),
           fingerprint(core::model_fingerprint(a)),
           model_version(core::model_version_string(fingerprint)),
-          // One memory knob, split 3/4 whole-result : 1/4 cell store.
-          cache(explore::StudyCache::Config{
-              config.cache_bytes - config.cache_bytes / 4,
-              config.cache_shards, 64}),
-          cell_store(explore::CellStore::Config{config.cache_bytes / 4,
-                                                config.cache_shards}) {
+          cache(explore::StudyCache::Config{config.cache_bytes,
+                                            config.cache_shards, 64}) {
         if (!config.dispatch.empty()) {
             dispatcher.emplace(Dispatcher::Config{
                 parse_worker_list(config.dispatch)});
@@ -140,21 +86,14 @@ struct StudyServer::Impl {
     [[nodiscard]] FrameAction on_frame(std::string&& line);
     void announce_shutdown_now();
     [[nodiscard]] bool accepting() const;
-
-    // thread_per_connection transport --------------------------------------
-    void start_threaded();
-    void stop_threaded();
-    void accept_loop();
-    void handle_connection(int fd);
-    [[nodiscard]] std::string handle_line(const std::string& line,
-                                          bool& close_after,
-                                          bool& announce_shutdown);
-    void shutdown_listener_locked();
+    [[nodiscard]] CellCounters cell_counters() const {
+        return {cell_hits.load(), cell_misses.load()};
+    }
 };
 
 // The event loop owns the lifetime accept counter while it exists; it
 // is folded into the atomic when stop() retires the loop, so the total
-// survives restarts and mode switches.
+// survives restarts.
 std::uint64_t StudyServer::Impl::total_connections() const {
     std::lock_guard<std::mutex> lock(mutex);
     return connections.load() +
@@ -170,8 +109,7 @@ std::string StudyServer::Impl::oversized_error() {
 
 bool StudyServer::Impl::accepting() const {
     std::lock_guard<std::mutex> lock(mutex);
-    if (loop) return loop->accepting();
-    return running && !shutdown_requested;
+    return loop && loop->accepting();
 }
 
 std::string StudyServer::Impl::stats_response(const Envelope& envelope) {
@@ -180,9 +118,7 @@ std::string StudyServer::Impl::stats_response(const Envelope& envelope) {
     graph.cell_refs = graph_cell_refs.load();
     graph.unique_cells = graph_unique_cells.load();
     graph.deduped_cells = graph_deduped_cells.load();
-    graph.store_hits = graph_store_hits.load();
-    graph.store_misses = graph_store_misses.load();
-    return encode_stats_response(cache.stats(), cell_store.stats(),
+    return encode_stats_response(cache.stats(), cell_counters(),
                                  total_connections(), requests.load(),
                                  errors.load(), ledger_results.load(), graph,
                                  util::ThreadPool::global().size(),
@@ -199,17 +135,16 @@ MetricsSnapshot StudyServer::Impl::metrics_snapshot() const {
     m.graph_cell_refs = graph_cell_refs.load();
     m.graph_unique_cells = graph_unique_cells.load();
     m.graph_deduped_cells = graph_deduped_cells.load();
-    m.graph_store_hits = graph_store_hits.load();
-    m.graph_store_misses = graph_store_misses.load();
-    m.cells = cell_store.stats();
+    m.cells = cell_counters();
     m.persistent = store.has_value();
     if (store) m.disk = store->stats();
     m.model_version = model_version;
     {
         std::lock_guard<std::mutex> lock(mutex);
+        m.connections = connections.load();
         if (loop) {
             const LoopCounters& c = loop->counters();
-            m.connections = connections.load() + c.connections.load();
+            m.connections += c.connections.load();
             m.connections_live = c.connections_live.load();
             m.in_flight = c.in_flight.load();
             m.queued_frames = c.queued_frames.load();
@@ -218,9 +153,6 @@ MetricsSnapshot StudyServer::Impl::metrics_snapshot() const {
             m.backpressure_stalls = c.backpressure_stalls.load();
             m.idle_disconnects = c.idle_disconnects.load();
             m.pipelined_frames = c.pipelined_frames.load();
-        } else {
-            m.connections = connections.load();
-            m.connections_live = conn_fds.size();
         }
     }
     m.cache = cache.stats();
@@ -236,8 +168,6 @@ std::string StudyServer::Impl::health_response(const Envelope& envelope) {
         if (loop) {
             live = loop->counters().connections_live.load();
             in_flight = loop->counters().in_flight.load();
-        } else {
-            live = conn_fds.size();
         }
     }
     return encode_health_response(accepting(), live, in_flight, envelope);
@@ -250,8 +180,7 @@ void StudyServer::Impl::announce_shutdown_now() {
 }
 
 /// Evaluates one run request end to end and encodes the response.
-/// Runs on an executor thread (event_loop) or a connection thread
-/// (thread_per_connection); must never throw — a serving process
+/// Runs on an executor thread; must never throw — a serving process
 /// answers rather than dies.
 std::string StudyServer::Impl::run_response(Request request) {
     using Clock = std::chrono::steady_clock;
@@ -276,7 +205,7 @@ std::string StudyServer::Impl::run_response(Request request) {
         }
 
         explore::StudyBatchOutcome outcome = explore::run_studies_collecting(
-            actuary, local_specs, &cache, &cell_store);
+            actuary, local_specs, &cache);
 
         // One response slot per batch position; failures leave theirs
         // empty and results stream out in batch order.
@@ -288,10 +217,10 @@ std::string StudyServer::Impl::run_response(Request request) {
         graph_cell_refs += outcome.graph.cell_refs;
         graph_unique_cells += outcome.graph.unique_cells;
         graph_deduped_cells += outcome.graph.deduped_cells;
-        graph_store_hits += outcome.graph.store_hits;
-        graph_store_misses += outcome.graph.store_misses;
         for (std::size_t k = 0; k < outcome.results.size(); ++k) {
             const explore::StudyResult& r = outcome.results[k];
+            cell_hits += r.run.cell_hits;
+            cell_misses += r.run.cell_misses;
             if (r.run.from_cache) ++meta.served_from_cache;
             if (r.run.with_ledgers) ++with_ledgers;
             docs[local_positions[outcome.indices[k]]] =
@@ -399,248 +328,6 @@ FrameAction StudyServer::Impl::on_frame(std::string&& line) {
 }
 
 // ---------------------------------------------------------------------------
-// thread_per_connection transport (bench baseline; original semantics)
-// ---------------------------------------------------------------------------
-
-// Only shutdown(2) here — never close(2): the accept thread may hold the
-// fd number across an unlocked ::accept call, so the number must stay
-// reserved (un-reusable by other sockets in this process) until stop()
-// has joined that thread.  shutdown() wakes a blocked accept and makes
-// the kernel refuse new connections, which is all teardown needs early.
-void StudyServer::Impl::shutdown_listener_locked() {
-    if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
-}
-
-void StudyServer::Impl::accept_loop() {
-    for (;;) {
-        int fd = -1;
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (!running || shutdown_requested || listen_fd < 0) return;
-            fd = listen_fd;
-        }
-        const int conn = ::accept(fd, nullptr, nullptr);
-        std::vector<std::thread> reap;
-        bool alive = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            reap.swap(finished);
-            alive = running && !shutdown_requested;
-            if (conn >= 0 && alive) {
-                conn_fds.insert(conn);
-                ++connections;
-                handlers.emplace(conn, std::thread([this, conn] {
-                                     handle_connection(conn);
-                                 }));
-            } else if (conn >= 0) {
-                ::close(conn);
-            }
-        }
-        for (std::thread& t : reap) {
-            if (t.joinable()) t.join();
-        }
-        if (!alive) return;
-        if (conn < 0) {
-            // EINTR, EMFILE/ENFILE and friends: back off briefly instead
-            // of spinning the mutex at 100% CPU until the condition
-            // clears (fd exhaustion can persist for a while).
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-    }
-}
-
-void StudyServer::Impl::handle_connection(int fd) {
-    std::string buffer;
-    char chunk[16384];
-    bool open = true;
-    while (open) {
-        const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) break;  // disconnect (possibly mid-request) or stop()
-        buffer.append(chunk, static_cast<std::size_t>(n));
-
-        std::size_t pos;
-        while (open && (pos = buffer.find(kFrameDelimiter)) != std::string::npos) {
-            std::string line = buffer.substr(0, pos);
-            buffer.erase(0, pos + 1);
-            if (line.size() > config.max_line_bytes) {
-                // The frame is complete, so the stream can resync: this
-                // request is refused but the connection survives (an
-                // unterminated overrun below cannot and closes it).
-                if (!send_all(fd, oversized_error() + kFrameDelimiter)) {
-                    open = false;
-                }
-                continue;
-            }
-            if (is_blank(line)) continue;
-            bool close_after = false;
-            bool announce = false;
-            const std::string response = handle_line(line, close_after, announce);
-            if (!send_all(fd, response + kFrameDelimiter)) open = false;
-            if (announce) {
-                // Wake wait() only now, with the ack already on the
-                // wire: stop() severs connections, and doing that
-                // before the send would eat the documented response.
-                announce_shutdown_now();
-            }
-            if (close_after) open = false;
-        }
-        if (open && buffer.size() > config.max_line_bytes) {
-            // The frame already exceeds the limit and has no newline in
-            // sight: answer once and drop the connection — there is no
-            // safe point to resynchronise at.
-            (void)send_all(fd, oversized_error() + kFrameDelimiter);
-            open = false;
-        }
-    }
-    ::shutdown(fd, SHUT_RDWR);
-    {
-        // Deregister before close(): once the fd number is free for
-        // reuse, stop() must no longer be able to shut it down — and
-        // the handlers slot for this fd must be vacant before accept
-        // can hand the number to a new connection.  Moving our own
-        // thread object to `finished` is safe: whoever joins it simply
-        // waits out this function's epilogue.
-        std::lock_guard<std::mutex> lock(mutex);
-        conn_fds.erase(fd);
-        const auto self = handlers.find(fd);
-        if (self != handlers.end()) {
-            finished.push_back(std::move(self->second));
-            handlers.erase(self);
-        }
-    }
-    ::close(fd);
-}
-
-std::string StudyServer::Impl::handle_line(const std::string& line,
-                                           bool& close_after,
-                                           bool& announce_shutdown) {
-    Envelope envelope;
-    try {
-        Request request = parse_request(line, &envelope);
-        switch (request.verb) {
-            case Verb::ping:
-                return encode_ok(Verb::ping, envelope);
-            case Verb::stats:
-                return stats_response(envelope);
-            case Verb::metrics:
-                return encode_metrics_response(metrics_snapshot(), envelope);
-            case Verb::health:
-                return health_response(envelope);
-            case Verb::shutdown: {
-                // Stop accepting right away, but leave waking wait() to
-                // the caller — after the ack is sent — so the owner's
-                // stop() cannot cut this connection before the client
-                // has its {"ok":true}.
-                std::lock_guard<std::mutex> lock(mutex);
-                shutdown_listener_locked();
-                close_after = true;
-                announce_shutdown = true;
-                return encode_ok(Verb::shutdown, envelope);
-            }
-            case Verb::run:
-                return run_response(std::move(request));
-        }
-        // Unreachable; every verb returns above.
-        return encode_error("internal", "unhandled verb", envelope);
-    } catch (const ParseError& e) {
-        ++errors;
-        return encode_error("parse", e.what(), envelope);
-    } catch (const Error& e) {
-        ++errors;
-        return encode_error("model", e.what(), envelope);
-    } catch (const std::exception& e) {
-        // Defensive: nothing below should leak a non-chiplet exception,
-        // but a serving process must answer rather than die.
-        ++errors;
-        return encode_error("internal", e.what(), envelope);
-    }
-}
-
-void StudyServer::Impl::start_threaded() {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (running) return;
-
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        throw Error(std::string("serve: socket() failed: ") +
-                    std::strerror(errno));
-    }
-    const int reuse = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(config.port);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
-        const int err = errno;
-        ::close(fd);
-        throw Error("serve: cannot bind 127.0.0.1:" +
-                    std::to_string(config.port) + ": " + std::strerror(err));
-    }
-    if (::listen(fd, config.backlog) < 0) {
-        const int err = errno;
-        ::close(fd);
-        throw Error(std::string("serve: listen() failed: ") +
-                    std::strerror(err));
-    }
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof(bound);
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) < 0) {
-        const int err = errno;
-        ::close(fd);
-        throw Error(std::string("serve: getsockname() failed: ") +
-                    std::strerror(err));
-    }
-
-    listen_fd = fd;
-    port = ntohs(bound.sin_port);
-    running = true;
-    shutdown_requested = false;
-    accept_thread = std::thread([this] { accept_loop(); });
-}
-
-void StudyServer::Impl::stop_threaded() {
-    std::vector<std::thread> joinable;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!running && !accept_thread.joinable() && handlers.empty() &&
-            finished.empty()) {
-            return;
-        }
-        running = false;
-        shutdown_requested = true;
-        shutdown_listener_locked();
-        // Unblock every connection's recv; handlers then exit and close
-        // their own fds.
-        for (const int fd : conn_fds) ::shutdown(fd, SHUT_RDWR);
-        shutdown_cv.notify_all();
-    }
-    if (accept_thread.joinable()) accept_thread.join();
-    {
-        // Only now — with the accept thread joined — is it safe to free
-        // the listener's fd number, and no new handlers can appear.
-        std::lock_guard<std::mutex> lock(mutex);
-        if (listen_fd >= 0) {
-            ::close(listen_fd);
-            listen_fd = -1;
-        }
-        for (auto& [fd, thread] : handlers) {
-            joinable.push_back(std::move(thread));
-        }
-        handlers.clear();
-        for (std::thread& thread : finished) {
-            joinable.push_back(std::move(thread));
-        }
-        finished.clear();
-    }
-    for (std::thread& t : joinable) {
-        if (t.joinable()) t.join();
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Public surface
 // ---------------------------------------------------------------------------
 
@@ -654,10 +341,6 @@ StudyServer::~StudyServer() {
 }
 
 void StudyServer::start() {
-    if (impl_->config.mode == ServerMode::thread_per_connection) {
-        impl_->start_threaded();
-        return;
-    }
     std::lock_guard<std::mutex> lock(impl_->mutex);
     if (impl_->running) return;
 
@@ -685,10 +368,6 @@ void StudyServer::start() {
 }
 
 void StudyServer::stop() {
-    if (impl_->config.mode == ServerMode::thread_per_connection) {
-        impl_->stop_threaded();
-        return;
-    }
     std::unique_ptr<EventLoop> loop;
     {
         std::lock_guard<std::mutex> lock(impl_->mutex);
@@ -724,8 +403,6 @@ unsigned short StudyServer::port() const {
 }
 
 explore::StudyCache& StudyServer::cache() { return impl_->cache; }
-
-explore::CellStore& StudyServer::cell_store() { return impl_->cell_store; }
 
 StudyServer::Stats StudyServer::stats() const {
     return Stats{impl_->total_connections(), impl_->requests.load(),

@@ -13,14 +13,11 @@
 //   server.wait();   // returns once a client sends {"op":"shutdown"}
 //   server.stop();   // tears down the transport
 //
-// Two transports share every protocol semantic:
-//  - event_loop (default): one epoll readiness loop owns every socket
-//    (serve/event_loop.h); study evaluation fans onto executor threads
-//    and completions return via eventfd.  Requests may be pipelined,
-//    slow readers are bounded by per-connection write backpressure, and
-//    idle connections can be reaped.
-//  - thread_per_connection: the original accept-thread + thread-per-
-//    client transport, kept as the bench_serve comparison baseline.
+// Transport: one epoll readiness loop owns every socket
+// (serve/event_loop.h); study evaluation fans onto executor threads and
+// completions return via eventfd.  Requests may be pipelined, slow
+// readers are bounded by per-connection write backpressure, and idle
+// connections can be reaped.
 //
 // Dispatch mode: with ServerConfig::dispatch set to a worker list
 // ("host:port,host:port,..."), non-explain design_space studies are
@@ -46,16 +43,9 @@
 
 namespace chiplet::serve {
 
-enum class ServerMode {
-    event_loop,             ///< epoll readiness loop (default)
-    thread_per_connection,  ///< legacy transport; bench baseline
-};
-
 struct ServerConfig {
     unsigned short port = 0;        ///< 0 binds an ephemeral port
-    /// Combined memory bound of the two result caches: the canonical-
-    /// spec study cache takes 3/4 of it, the cross-study cell store
-    /// (explore/cell_store.h) the remaining 1/4 — one knob, one bound.
+    /// Memory bound of the canonical-spec study cache.
     std::size_t cache_bytes = 64ull << 20;
     unsigned cache_shards = 8;
     /// Directory for the persistent study-cache store
@@ -67,15 +57,14 @@ struct ServerConfig {
     std::string cache_dir;
     std::size_t max_line_bytes = 8ull << 20;  ///< per-frame size limit
     int backlog = 64;               ///< listen(2) queue depth
-    ServerMode mode = ServerMode::event_loop;
-    /// Per-connection unsent-response bound (event_loop mode): reading
-    /// pauses above it, resumes below half of it.
+    /// Per-connection unsent-response bound: reading pauses above it,
+    /// resumes below half of it.
     std::size_t max_output_bytes = 8ull << 20;
     /// Disconnect connections with no traffic and no queued work for
-    /// this long (event_loop mode); 0 = never.
+    /// this long; 0 = never.
     unsigned idle_timeout_ms = 0;
-    /// Executor threads evaluating run requests (event_loop mode); each
-    /// batch still fans onto the process-global thread pool.
+    /// Executor threads evaluating run requests; each batch still fans
+    /// onto the process-global thread pool.
     unsigned eval_workers = 2;
     /// Comma-separated worker list ("host:port" or bare "port" entries)
     /// enabling dispatch mode; empty = evaluate everything locally.
@@ -111,10 +100,6 @@ public:
 
     [[nodiscard]] explore::StudyCache& cache();
 
-    /// The process-lifetime cross-study cell store backing every run
-    /// request's compiled batch.
-    [[nodiscard]] explore::CellStore& cell_store();
-
     struct Stats {
         std::uint64_t connections = 0;  ///< accepted sockets, lifetime
         std::uint64_t requests = 0;     ///< successfully answered run frames
@@ -127,8 +112,7 @@ public:
     };
     [[nodiscard]] Stats stats() const;
 
-    /// Everything the "metrics" verb reports, readable in-process; loop
-    /// gauges are zero in thread_per_connection mode.
+    /// Everything the "metrics" verb reports, readable in-process.
     [[nodiscard]] MetricsSnapshot metrics() const;
 
 private:

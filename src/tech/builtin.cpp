@@ -15,7 +15,7 @@
 //     Fig. 1 (Synopsys D2D interface source),
 //   - bonding yields / substrate costs: engineering estimates chosen so
 //     the model reproduces the paper's packaging-share claims (see
-//     EXPERIMENTS.md calibration notes).
+//     docs/model.md#assumptions-and-known-deviations).
 //
 // Everything here can be overridden via TechLibrary setters or a JSON
 // technology file; this is deliberately the only file to edit when

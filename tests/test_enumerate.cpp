@@ -32,7 +32,7 @@ TEST(Enumerate, CountMatchesFormulaAcrossConfigs) {
 
 TEST(Enumerate, PaperFig10LargestConfig) {
     // k=4 sockets, n=6 chiplets: the formula gives 209 (the paper text
-    // says 119; see EXPERIMENTS.md).
+    // says 119; see docs/model.md#assumptions-and-known-deviations).
     EXPECT_EQ(enumerate_collocations(6, 4).size(), 209u);
 }
 

@@ -1,6 +1,7 @@
 // Integration tests asserting the paper's headline qualitative claims
 // hold under the built-in calibration.  Each test cites the section it
-// reproduces; EXPERIMENTS.md records the quantitative comparison.
+// reproduces; docs/model.md#assumptions-and-known-deviations records where the
+// measured values deviate from the paper's.
 #include <gtest/gtest.h>
 
 #include "core/actuary.h"
@@ -76,7 +77,8 @@ TEST(PaperSec41, GranularityHasMarginalUtility) {
     const double total5 = re(5).total();
     EXPECT_GT(total2 - total3, total3 - total5);  // diminishing returns
     // The paper's metric is the *die defect* saving ("<10%"); our
-    // calibration measures ~11%, the same magnitude (see EXPERIMENTS.md).
+    // calibration measures ~11%, the same magnitude (see
+    // docs/model.md#assumptions-and-known-deviations).
     const double defect_saving = re(3).chip_defects - re(5).chip_defects;
     EXPECT_LT(defect_saving / total3, 0.12);
 }

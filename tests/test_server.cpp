@@ -15,7 +15,6 @@
 
 #include "core/actuary.h"
 #include "core/version.h"
-#include "explore/cell_store.h"
 #include "explore/study.h"
 #include "explore/study_json.h"
 #include "serve/client.h"
@@ -301,66 +300,57 @@ TEST_F(ServerTest, PortInUseFailsLoudly) {
 }
 
 TEST_F(ServerTest, StatsAndMetricsSurfaceBothCacheLayers) {
+    StudySpec grid;
+    grid.name = "grid";
+    explore::ReSweepConfig c;
+    c.nodes = {"7nm", "5nm"};
+    c.packagings = {"SoC", "MCM"};
+    c.chiplet_counts = {2};
+    c.areas_mm2 = {200.0, 500.0};
+    grid.config = c;
+    const std::vector<StudySpec> specs = {grid};
+
     StudyClient client = connect();
-    const std::vector<StudySpec> specs = mixed_batch();
-    (void)client.run(specs);
-    (void)client.run(specs);  // second round: whole-spec cache hits
+    double result_cell_hits = 0.0;
+    for (int round = 0; round < 2; ++round) {  // second round: cache hits
+        const JsonValue response = client.run(specs);
+        for (const JsonValue& result : response.at("results").as_array()) {
+            result_cell_hits += result.at("meta").at("cell_hits").as_number();
+        }
+    }
+    EXPECT_GT(result_cell_hits, 0.0);
 
     const JsonValue stats = client.stats();
     // Satellite: the cache object reports a *rate*, not just counters.
     ASSERT_TRUE(stats.at("cache").contains("hit_rate"));
     EXPECT_GT(stats.at("cache").at("hit_rate").as_number(), 0.0);
-    // The cross-study cell store has its own lifetime section…
-    ASSERT_TRUE(stats.contains("cells"));
-    EXPECT_TRUE(stats.at("cells").contains("hit_rate"));
-    EXPECT_GT(stats.at("cells").at("insertions").as_number(), 0.0);
-    // …and the graph section carries the per-batch store sums.
-    EXPECT_TRUE(stats.at("graph").contains("store_hits"));
-    EXPECT_TRUE(stats.at("graph").contains("store_hit_rate"));
     // Satellite: the model-version stamp is on the metrics surface.
     EXPECT_EQ(stats.at("model_version").as_string(),
               core::model_version_string());
 
     const JsonValue metrics = client.metrics();
-    EXPECT_TRUE(metrics.contains("cells"));
     EXPECT_EQ(metrics.at("model_version").as_string(),
               core::model_version_string());
     ASSERT_TRUE(metrics.contains("disk"));
     EXPECT_FALSE(metrics.at("disk").at("persistent").as_bool());
     EXPECT_EQ(metrics.at("disk").at("writes").as_number(), 0.0);
+
+    // The cell memo section sums every served result's counters.
+    for (const JsonValue* surface : {&stats, &metrics}) {
+        const JsonValue& cells = surface->at("cells");
+        EXPECT_EQ(cells.at("hits").as_number(), result_cell_hits);
+        const double rate = cells.at("hit_rate").as_number();
+        EXPECT_GE(rate, 0.0);
+        EXPECT_LE(rate, 1.0);
+    }
 }
 
-TEST_F(ServerTest, CellsPricedByOneBatchWarmTheNextAcrossConnections) {
-    // Overlapping grids under different spec names: the whole-spec
-    // cache can never answer the second batch, only the cell store can
-    // — and the warm batch must still match serial evaluation exactly.
-    const auto grid_spec = [](const std::string& name, double extra) {
-        StudySpec spec;
-        spec.name = name;
-        explore::ReSweepConfig c;
-        c.nodes = {"7nm", "5nm"};
-        c.packagings = {"SoC", "MCM"};
-        c.chiplet_counts = {2};
-        c.areas_mm2 = {200.0, extra};
-        spec.config = c;
-        return spec;
-    };
-    const std::vector<StudySpec> first = {grid_spec("first", 500.0)};
-    const std::vector<StudySpec> second = {grid_spec("second", 500.0)};
-
-    {
-        StudyClient a = connect();
-        const JsonValue cold = a.run(first);
-        EXPECT_EQ(cold.at("meta").at("graph").at("store_hits").as_number(),
-                  0.0);
-    }
-    StudyClient b = connect();  // a different connection entirely
-    const JsonValue warm = b.run(second);
-    EXPECT_GT(warm.at("meta").at("graph").at("store_hits").as_number(), 0.0);
-    EXPECT_EQ(diff_results(warm, serial_results(actuary_, second)), "");
-
-    const explore::CellStore::Stats cells = server_->cell_store().stats();
-    EXPECT_GT(cells.hits, 0u);
+TEST(ServerConfigTest, CacheBytesBoundTheStudyCacheAlone) {
+    const core::ChipletActuary actuary;
+    ServerConfig config;
+    config.cache_bytes = 3ull << 20;
+    StudyServer server(actuary, config);
+    EXPECT_EQ(server.cache().max_bytes(), config.cache_bytes);
 }
 
 TEST(PersistentCache, RestartedServerAnswersWarmAndByteIdentical) {

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -30,6 +31,10 @@ using Clock = std::chrono::steady_clock;
 /// Per-read cap: drain a hot socket in slices so one fast pipeliner
 /// cannot starve every other connection for a whole epoll round.
 constexpr std::size_t kReadSliceBytes = 256 * 1024;
+
+/// How long the listener stays unwatched after accept4 ran out of fds,
+/// unless a connection closes first and frees one.
+constexpr auto kAcceptBackoff = std::chrono::milliseconds(50);
 
 }  // namespace
 
@@ -71,6 +76,11 @@ struct EventLoop::Impl {
     int epoll_fd = -1;
     int listen_fd = -1;
     bool loop_accepting = true;  ///< loop-thread view; `accepting_` mirrors it
+    /// False while the listener is out of the epoll set because accept4
+    /// ran out of fds; it is watched again at `accept_retry_at` or when
+    /// a connection closes, whichever comes first.
+    bool listen_watched = true;
+    Clock::time_point accept_retry_at;
 
     // -- shared state -------------------------------------------------------
     std::mutex lifecycle_mutex;  ///< guards start/stop transitions
@@ -166,6 +176,7 @@ struct EventLoop::Impl {
         ::close(fd);
         conns.erase(it);
         --counters.connections_live;
+        watch_listener();  // the fd just freed may be the one accept needs
     }
 
     // -- output path --------------------------------------------------------
@@ -405,15 +416,29 @@ struct EventLoop::Impl {
             const int fd =
                 ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
             if (fd < 0) {
-                // EAGAIN: drained.  EMFILE and friends: give up this
-                // round; the listener stays level-triggered so the next
-                // epoll_wait retries without spinning.
-                return;
+                if (errno == EINTR || errno == ECONNABORTED) continue;
+                if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+                    errno == ENOMEM) {
+                    // The connection stays queued, so the level-triggered
+                    // listener would wake every epoll_wait at once: stop
+                    // watching it until an fd frees up or the back-off
+                    // passes.
+                    unwatch_listener();
+                }
+                return;  // EAGAIN: drained
             }
             if (!loop_accepting || stopping.load()) {
                 ::close(fd);
                 continue;
             }
+            // Answers must not wait for the previous segment's ACK: once
+            // one answer is late, Nagle would otherwise hold each later
+            // one until the client's next request (or its 40 ms delayed
+            // ACK) acknowledges the last.  Bursts are corked into one
+            // send(2) already, so there is nothing left to coalesce.
+            const int one = 1;
+            (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
+                               sizeof(one));
             epoll_event ev{};
             ev.events = EPOLLIN | EPOLLRDHUP;
             ev.data.fd = fd;
@@ -478,6 +503,23 @@ struct EventLoop::Impl {
         }
     }
 
+    void unwatch_listener() {
+        if (!listen_watched) return;
+        (void)::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
+        listen_watched = false;
+        accept_retry_at = Clock::now() + kAcceptBackoff;
+    }
+
+    void watch_listener() {
+        if (listen_watched || !loop_accepting) return;
+        epoll_event ev{};
+        ev.events = EPOLLIN;
+        ev.data.fd = listen_fd;
+        if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listen_fd, &ev) == 0) {
+            listen_watched = true;
+        }
+    }
+
     void stop_accepting() {
         if (!loop_accepting) return;
         loop_accepting = false;
@@ -495,6 +537,18 @@ struct EventLoop::Impl {
             if (config.idle_timeout_ms > 0 && !conns.empty()) {
                 timeout = static_cast<int>(std::clamp<unsigned>(
                     config.idle_timeout_ms / 2, 10u, 1000u));
+            }
+            if (!listen_watched && loop_accepting) {
+                const int backoff_ms = static_cast<int>(
+                    std::chrono::ceil<std::chrono::milliseconds>(
+                        accept_retry_at - Clock::now())
+                        .count());
+                if (backoff_ms <= 0) {
+                    watch_listener();
+                } else {
+                    timeout = timeout < 0 ? backoff_ms
+                                          : std::min(timeout, backoff_ms);
+                }
             }
             const int n = ::epoll_wait(epoll_fd, events.data(),
                                        static_cast<int>(events.size()),
@@ -626,6 +680,7 @@ void EventLoop::start() {
     impl_->port_.store(ntohs(bound.sin_port));
     impl_->stopping.store(false);
     impl_->loop_accepting = true;
+    impl_->listen_watched = true;
     impl_->accepting_.store(true);
     impl_->task_stop = false;
 

@@ -1,10 +1,19 @@
 // The event-driven actuaryd transport (serve/event_loop.h via
 // serve/server.h): pipelined framing in both directions, protocol v1
 // envelopes with id echo, the metrics/health verbs, bounded write
-// backpressure against a slow reader, and idle-timeout disconnects.
+// backpressure against a slow reader, idle-timeout disconnects, answers
+// that never wait on Nagle + delayed ACK, and an accept path that
+// backs off instead of spinning when the process is out of fds.
 #include <gtest/gtest.h>
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -279,6 +288,136 @@ TEST_F(EventLoopServerTest, ClientTimeoutsAreTypedErrors) {
     } catch (const ClientError& e) {
         EXPECT_EQ(e.code(), ClientErrorCode::connect_failed);
     }
+}
+
+TEST_F(EventLoopServerTest, RefilledPipelineWindowNeverWaitsOnDelayedAck) {
+    start({});
+    StudyClient client = connect();
+    explore::StudySpec spec;
+    spec.name = "warm";
+    spec.config = explore::BreakevenQuery{};
+    const std::string frame = encode_run_request({&spec, 1});
+    (void)client.call(frame);  // warm the cache: every timed frame hits
+
+    constexpr int kRounds = 20;
+    constexpr int kWindow = 8;
+    const auto expect_hit = [](const std::string& line) {
+        const JsonValue response = JsonValue::parse(line);
+        EXPECT_EQ(response.at("meta").at("served_from_cache").as_number(),
+                  1.0);
+    };
+
+    // Reference cost of the same frames one call at a time: each request
+    // acknowledges the previous answer, so Nagle never holds one back.
+    // It absorbs how slow this build serves a hit (sanitizers, Debug).
+    auto begin = std::chrono::steady_clock::now();
+    for (int i = 0; i < kRounds * kWindow; ++i) {
+        client.send_line(frame);
+        expect_hit(client.read_line());
+    }
+    const auto one_at_a_time = std::chrono::steady_clock::now() - begin;
+
+    // A client that refills its window one small frame per send(2) and
+    // then reads the answers.  Without TCP_NODELAY on the server side,
+    // answers after the first in a round are held by Nagle until the
+    // client's delayed ACK fires (40 ms minimum on Linux): about 40 ms
+    // per round.
+    begin = std::chrono::steady_clock::now();
+    for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < kWindow; ++i) client.send_line(frame);
+        for (int i = 0; i < kWindow; ++i) expect_hit(client.read_line());
+    }
+    const auto windowed = std::chrono::steady_clock::now() - begin;
+    // Half of the 20 x 40 ms the delayed-ACK chain would add.
+    EXPECT_LT(windowed - one_at_a_time, 400ms)
+        << "one at a time: "
+        << std::chrono::duration<double, std::milli>(one_at_a_time).count()
+        << " ms, windowed: "
+        << std::chrono::duration<double, std::milli>(windowed).count()
+        << " ms";
+}
+
+/// CPU the whole process has used, user plus system.
+std::chrono::microseconds process_cpu() {
+    rusage usage{};
+    (void)::getrusage(RUSAGE_SELF, &usage);
+    const auto to_us = [](const timeval& t) {
+        return std::chrono::seconds(t.tv_sec) +
+               std::chrono::microseconds(t.tv_usec);
+    };
+    return to_us(usage.ru_utime) + to_us(usage.ru_stime);
+}
+
+/// Leaves the process exactly one free fd: lowers RLIMIT_NOFILE to just
+/// above the highest open fd and fills every hole below it.  Undone on
+/// release() or destruction, so a failed assertion cannot starve the
+/// tests that follow.
+class FdStarvation {
+public:
+    FdStarvation() {
+        if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+        int highest = -1;
+        if (DIR* dir = ::opendir("/proc/self/fd")) {
+            while (const dirent* entry = ::readdir(dir)) {
+                highest = std::max(highest, std::atoi(entry->d_name));
+            }
+            ::closedir(dir);
+        }
+        if (highest < 0) return;
+        rlimit lowered = saved_;
+        lowered.rlim_cur = static_cast<rlim_t>(highest + 2);
+        if (::setrlimit(RLIMIT_NOFILE, &lowered) != 0) return;
+        lowered_ = true;
+        for (int fd = ::open("/dev/null", O_RDONLY); fd >= 0;
+             fd = ::open("/dev/null", O_RDONLY)) {
+            fillers_.push_back(fd);
+        }
+        if (errno != EMFILE || fillers_.empty()) return;
+        ::close(fillers_.back());  // the one fd left to take
+        fillers_.pop_back();
+        armed_ = true;
+    }
+    ~FdStarvation() { release(); }
+    FdStarvation(const FdStarvation&) = delete;
+    FdStarvation& operator=(const FdStarvation&) = delete;
+
+    [[nodiscard]] bool armed() const { return armed_; }
+
+    void release() {
+        if (lowered_) (void)::setrlimit(RLIMIT_NOFILE, &saved_);
+        lowered_ = false;
+        for (const int fd : fillers_) ::close(fd);
+        fillers_.clear();
+    }
+
+private:
+    rlimit saved_{};
+    bool lowered_ = false;
+    bool armed_ = false;
+    std::vector<int> fillers_;
+};
+
+TEST_F(EventLoopServerTest, OutOfFdsBacksOffInsteadOfSpinning) {
+    start({});
+    FdStarvation starvation;
+    ASSERT_TRUE(starvation.armed());
+
+    // The client takes the last fd, so the server's accept4 fails with
+    // EMFILE and the connection stays queued on the listener.
+    StudyClient client("127.0.0.1", server_->port(),
+                       ClientConfig{1000, 5000, 0});
+    client.send_line(R"({"v":1,"id":"late","verb":"ping"})");
+    const auto cpu_before = process_cpu();
+    std::this_thread::sleep_for(500ms);
+    const auto stuck_cpu = process_cpu() - cpu_before;
+    starvation.release();
+
+    // A spinning loop burns the whole 500 ms; a backed-off one a sliver.
+    EXPECT_LT(stuck_cpu, 100ms);
+    // Once fds are free again the queued connection is served.
+    const JsonValue response = JsonValue::parse(client.read_line());
+    EXPECT_EQ(response.at("id").as_string(), "late");
+    EXPECT_TRUE(response.at("ok").as_bool());
 }
 
 }  // namespace

@@ -188,19 +188,24 @@ std::string StudyServer::Impl::run_response(Request request) {
     try {
         const auto start = Clock::now();
 
-        // Partition: studies the dispatcher shards across workers vs
-        // everything evaluated in-process.  Positions are indices into
-        // request.studies (the batch), remapped to document positions
-        // via study_indices at the end.
+        // Partition: studies the dispatcher shards across workers,
+        // design_space studies run one by one, and everything else
+        // evaluated in-process as one compiled batch.  Positions are
+        // indices into request.studies (the batch), remapped to document
+        // positions via study_indices at the end.
         std::vector<explore::StudySpec> local_specs;
         std::vector<std::size_t> local_positions;
         std::vector<std::size_t> shard_positions;
+        std::vector<std::size_t> search_positions;
         for (std::size_t i = 0; i < request.studies.size(); ++i) {
-            if (dispatcher && Dispatcher::can_shard(request.studies[i])) {
+            const explore::StudySpec& spec = request.studies[i];
+            if (dispatcher && Dispatcher::can_shard(spec)) {
                 shard_positions.push_back(i);
+            } else if (spec.kind() == explore::StudyKind::design_space) {
+                search_positions.push_back(i);
             } else {
                 local_positions.push_back(i);
-                local_specs.push_back(request.studies[i]);
+                local_specs.push_back(spec);
             }
         }
 
@@ -217,20 +222,41 @@ std::string StudyServer::Impl::run_response(Request request) {
         graph_cell_refs += outcome.graph.cell_refs;
         graph_unique_cells += outcome.graph.unique_cells;
         graph_deduped_cells += outcome.graph.deduped_cells;
-        for (std::size_t k = 0; k < outcome.results.size(); ++k) {
-            const explore::StudyResult& r = outcome.results[k];
+        const auto serve_result = [&](const explore::StudyResult& r,
+                                      std::size_t position) {
             cell_hits += r.run.cell_hits;
             cell_misses += r.run.cell_misses;
             if (r.run.from_cache) ++meta.served_from_cache;
             if (r.run.with_ledgers) ++with_ledgers;
-            docs[local_positions[outcome.indices[k]]] =
-                explore::to_json(r);
+            docs[position] = explore::to_json(r);
+        };
+        for (std::size_t k = 0; k < outcome.results.size(); ++k) {
+            serve_result(outcome.results[k],
+                         local_positions[outcome.indices[k]]);
         }
 
         std::vector<explore::StudyFailure> run_failures;
         for (explore::StudyFailure& f : outcome.failures) {
             f.index = local_positions[f.index];
             run_failures.push_back(std::move(f));
+        }
+
+        // A design_space study skips the batch compiler.  The cell memo
+        // the compiler attaches keeps explore_design_space on its
+        // reference scan, 7-10x slower than the kernel path, and every
+        // later request on the connection waits for this one's answer.
+        // The study cache still serves and stores it.
+        for (const std::size_t i : search_positions) {
+            const explore::StudySpec& spec = request.studies[i];
+            try {
+                serve_result(explore::run_study_cached(actuary, spec, cache), i);
+            } catch (const ParseError& e) {
+                run_failures.push_back(
+                    explore::StudyFailure{i, spec.name, "parse", e.what()});
+            } catch (const Error& e) {
+                run_failures.push_back(
+                    explore::StudyFailure{i, spec.name, "model", e.what()});
+            }
         }
 
         for (const std::size_t i : shard_positions) {

@@ -4,7 +4,9 @@
 // canonical-spec result cache (explore/study_cache.h) when possible and
 // otherwise batched onto the process-global thread pool via
 // explore::run_studies_collecting, so responses are bit-identical to a
-// serial run_study of the same specs.
+// serial run_study of the same specs.  design_space studies skip the
+// batch compiler and run one by one through explore::run_study_cached,
+// on the kernel path the compiler's cell memo would turn off.
 //
 //   core::ChipletActuary actuary;
 //   serve::StudyServer server(actuary, {.port = 0});  // 0 = ephemeral

@@ -270,6 +270,61 @@ TEST_F(ServerTest, BatchWithBadStudiesRunsGoodOnesAndReportsAll) {
     EXPECT_EQ(failures[1].at("index").as_number(), 3.0);
 }
 
+TEST_F(ServerTest, DesignSpaceStudiesRunOutsideTheBatchCompiler) {
+    // design_space studies interleaved with compiled ones: answers stay
+    // in batch order and bit-identical to serial run_study, while the
+    // searches carry no cell-memo counters (they took the kernel path,
+    // not the compiler's memoised reference scan).
+    std::vector<StudySpec> specs = mixed_batch();
+    StudySpec search;
+    search.name = "search";
+    explore::DesignSpaceConfig dc;
+    dc.nodes = {"7nm", "5nm"};
+    dc.chiplet_counts = {1, 2, 3};
+    search.config = dc;
+    specs.insert(specs.begin() + 1, search);
+    search.name = "search_14nm";
+    dc.nodes = {"14nm", "7nm"};
+    search.config = dc;
+    specs.push_back(search);
+    const JsonValue reference = serial_results(actuary_, specs);
+
+    StudyClient client = connect();
+    const JsonValue cold = client.run(specs);
+    EXPECT_EQ(cold.at("failures").as_array().size(), 0u);
+    EXPECT_EQ(diff_results(cold, reference), "");
+    double compiled_cell_hits = 0.0;
+    for (const JsonValue& result : cold.at("results").as_array()) {
+        const JsonValue& meta = result.at("meta");
+        if (result.at("kind").as_string() == "design_space") {
+            EXPECT_EQ(meta.at("cell_hits").as_number(), 0.0);
+            EXPECT_EQ(meta.at("cell_misses").as_number(), 0.0);
+        } else {
+            compiled_cell_hits += meta.at("cell_hits").as_number();
+        }
+    }
+    EXPECT_GT(compiled_cell_hits, 0.0);
+
+    // The study cache still serves the searches.
+    const JsonValue warm = client.run(specs);
+    EXPECT_EQ(diff_results(warm, reference), "");
+    EXPECT_EQ(warm.at("meta").at("served_from_cache").as_number(),
+              static_cast<double>(specs.size()));
+
+    // A failing search reports at its own document index.
+    const JsonValue bad = client.call(
+        R"({"studies":[)"
+        R"({"name":"ok","kind":"breakeven","config":{}},)"
+        R"({"name":"bad_search","kind":"design_space","config":{"nodes":["not_a_node"]}})"
+        R"(]})");
+    ASSERT_EQ(bad.at("results").as_array().size(), 1u);
+    const JsonArray& failures = bad.at("failures").as_array();
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures[0].at("name").as_string(), "bad_search");
+    EXPECT_EQ(failures[0].at("stage").as_string(), "model");
+    EXPECT_EQ(failures[0].at("index").as_number(), 1.0);
+}
+
 TEST_F(ServerTest, ShutdownVerbStopsAcceptingAndWaitReturns) {
     StudyClient client = connect();
     const JsonValue ack = client.shutdown();

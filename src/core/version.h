@@ -29,7 +29,9 @@ class ChipletActuary;
 
 /// Bump when the cost equations, result schema, or cache codec change
 /// in any way that invalidates persisted results.
-inline constexpr int kModelSchemaVersion = 1;
+/// 2: JSON numbers print as shortest round-trip text instead of 12
+/// significant digits, so canonical spec strings (the cache keys) changed.
+inline constexpr int kModelSchemaVersion = 2;
 
 /// Fingerprint of the model `actuary` evaluates with (schema + ledger
 /// vocabulary + assumptions + full tech library).  Deterministic across
@@ -40,7 +42,7 @@ inline constexpr int kModelSchemaVersion = 1;
 /// catalogue); memoised after the first call.
 [[nodiscard]] std::uint64_t model_fingerprint();
 
-/// Human-readable stamp, e.g. "model-schema 1, fingerprint
+/// Human-readable stamp, e.g. "model-schema 2, fingerprint
 /// 9f86d081884c7d65" — what `actuary_cli --version` and the `metrics`
 /// verb print.
 [[nodiscard]] std::string model_version_string(std::uint64_t fingerprint);

@@ -115,11 +115,10 @@ struct DesignSpaceResult {
     std::uint64_t pruned = 0;            ///< dropped by the geometry pre-screen
     std::uint64_t evaluated = 0;         ///< total_candidates - pruned
     /// True when the config restricted the scan with an index window.
-    /// Windowed result documents carry exact per-entry ordering keys so
-    /// a dispatcher can merge shard rankings in the precise order the
-    /// single-process comparator would produce — the 12-digit JSON
-    /// serialisation of total_per_unit is not injective, so merging on
-    /// parsed payload numbers alone can swap near-tied candidates.
+    /// Windowed result documents carry exact per-entry ordering keys
+    /// (the shortest round-trip text of total_per_unit) so a dispatcher
+    /// can merge shard rankings in the precise order the single-process
+    /// comparator would produce.
     bool windowed = false;
 
     [[nodiscard]] double pruned_fraction() const {

@@ -1,7 +1,7 @@
 // Lossless binary serialisation of StudyResult for the on-disk cache
 // (explore/cache_store.h).  The JSON result envelope of study_json.h is
 // deliberately one-way — Monte-Carlo sample vectors are summarised and
-// numbers render at 12 significant digits — so a persisted result that
+// tables hold preformatted text — so a persisted result that
 // round-tripped through it would *not* be bit-identical to the
 // in-memory original.  This codec is the lossless counterpart: every
 // payload double is stored as its exact 8-byte pattern, every vector in

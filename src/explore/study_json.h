@@ -32,9 +32,8 @@ namespace chiplet::explore {
     const JsonValue& v, const std::string& context = "scenario");
 
 /// Cost-ledger round-trip (core/cost_ledger.h).  The struct <-> JsonValue
-/// mapping is lossless (doubles are stored as doubles); a text cycle
-/// additionally carries the library-wide 12-significant-digit number
-/// serialisation.
+/// mapping is lossless (doubles are stored as doubles), and so is a text
+/// cycle: JSON numbers print as shortest round-trip text.
 [[nodiscard]] JsonValue to_json(const core::CostTerm& term);
 [[nodiscard]] core::CostTerm cost_term_from_json(
     const JsonValue& v, const std::string& context = "term");

@@ -224,11 +224,10 @@ JsonValue Dispatcher::run_sharded(const core::ChipletActuary& actuary,
             throw Error("dispatch: worker " + shards[i].worker.label() +
                         " returned a table misaligned with its ranking");
         }
-        // Windowed runs publish lossless "order_keys" alongside the
-        // 12-digit payload numbers; ordering on the exact doubles is
-        // what makes the merged ranking reproduce the single-process
-        // comparator even for candidates whose totals round to the same
-        // printed text.
+        // Windowed runs publish "order_keys" alongside the payload
+        // numbers; ordering on the exact doubles is what makes the
+        // merged ranking reproduce the single-process comparator for
+        // near-tied candidates.
         const JsonArray* keys = nullptr;
         if (result.contains("order_keys")) {
             keys = &result.at("order_keys").as_array();

@@ -12,12 +12,12 @@
 // "best" entries and table rows through verbatim rather than re-rounding
 // recomputed numbers.  Only the table's rank cells (strings) are
 // rewritten, and the space accounting (total/pruned/evaluated) is summed
-// from exact integers.  Ordering never trusts the 12-digit payload
-// numbers, which can render two raw-distinct totals identically:
-// windowed result documents carry lossless "order_keys" (shortest
-// round-trip strings, present only when an index window is set), and
-// the merge sorts on those exact doubles — the same comparator the
-// single-process bounded heap uses.
+// from exact integers.  Windowed result documents carry "order_keys"
+// (shortest round-trip strings, present only when an index window is
+// set), and the merge sorts on those exact doubles — the same
+// comparator the single-process bounded heap uses.  The payload numbers
+// print losslessly too, so the keys are redundant; they date from
+// 12-digit JSON numbers and go with the dispatcher.
 //
 // Failure model: a dead or misbehaving worker fails the sharded study —
 // there is no silent partial ranking — and surfaces as a structured

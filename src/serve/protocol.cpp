@@ -175,11 +175,9 @@ JsonValue failures_to_json(std::span<const explore::StudyFailure> failures) {
     return v;
 }
 
-std::string encode_run_response(const JsonArray& result_docs,
+std::string encode_run_response(JsonArray result_docs,
                                 std::span<const explore::StudyFailure> failures,
                                 const RunMeta& meta, const Envelope& envelope) {
-    JsonValue entries = JsonValue::array();
-    for (const JsonValue& doc : result_docs) entries.push_back(doc);
     JsonValue meta_json = JsonValue::object();
     meta_json.set("cache", cache_stats_to_json(meta.cache));
     meta_json.set("threads", meta.threads);
@@ -191,7 +189,7 @@ std::string encode_run_response(const JsonArray& result_docs,
     meta_json.set("graph", graph_stats_to_json(meta.graph));
 
     JsonValue v = response_root(envelope);
-    v.set("results", std::move(entries));
+    v.set("results", std::move(result_docs));
     v.set("failures", failures_to_json(failures));
     v.set("meta", std::move(meta_json));
     return v.dump();

@@ -181,9 +181,10 @@ struct MetricsSnapshot {
 
 /// `result_docs` entries are already-serialised Study API result
 /// envelopes — explore::to_json(StudyResult) for locally evaluated
-/// studies, the dispatcher's merged envelope for sharded ones.
+/// studies, the dispatcher's merged envelope for sharded ones.  Taken by
+/// value: the server moves its documents in rather than copying them.
 [[nodiscard]] std::string encode_run_response(
-    const JsonArray& result_docs,
+    JsonArray result_docs,
     std::span<const explore::StudyFailure> failures, const RunMeta& meta,
     const Envelope& envelope = {});
 [[nodiscard]] std::string encode_ok(Verb verb, const Envelope& envelope = {});

@@ -292,7 +292,8 @@ std::string StudyServer::Impl::run_response(Request request) {
         // responses sent).
         ++requests;
         ledger_results += with_ledgers;
-        return encode_run_response(result_docs, failures, meta, envelope);
+        return encode_run_response(std::move(result_docs), failures, meta,
+                                   envelope);
     } catch (const ParseError& e) {
         ++errors;
         return encode_error("parse", e.what(), envelope);

@@ -9,10 +9,23 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "util/error.h"
 
 namespace chiplet {
+
+struct JsonValue::ObjectRep {
+    std::vector<std::string> keys;
+    std::vector<JsonValue> values;
+
+    /// Position of `key`, or keys.size() when absent.
+    [[nodiscard]] std::size_t index_of(std::string_view key) const {
+        std::size_t i = 0;
+        while (i < keys.size() && keys[i] != key) ++i;
+        return i;
+    }
+};
 
 JsonValue JsonValue::object() {
     JsonValue v;
@@ -72,47 +85,63 @@ const JsonValue::ObjectRep& JsonValue::object_rep() const {
     return *std::get<std::shared_ptr<ObjectRep>>(value_);
 }
 
-void JsonValue::set(const std::string& key, JsonValue value) {
+const JsonValue* JsonValue::find(std::string_view key) const {
+    const auto* rep = std::get_if<std::shared_ptr<ObjectRep>>(&value_);
+    if (rep == nullptr) return nullptr;
+    const std::size_t i = (*rep)->index_of(key);
+    return i < (*rep)->keys.size() ? &(*rep)->values[i] : nullptr;
+}
+
+void JsonValue::set(std::string key, JsonValue value) {
     if (is_null()) value_ = std::make_shared<ObjectRep>();
     auto& rep = object_rep();
-    if (rep.entries.find(key) == rep.entries.end()) rep.order.push_back(key);
-    rep.entries[key] = std::move(value);
+    const std::size_t i = rep.index_of(key);
+    if (i < rep.keys.size()) {
+        rep.values[i] = std::move(value);
+        return;
+    }
+    rep.keys.push_back(std::move(key));
+    try {
+        rep.values.push_back(std::move(value));
+    } catch (...) {
+        rep.keys.pop_back();  // keep the two vectors aligned
+        throw;
+    }
 }
 
-bool JsonValue::contains(const std::string& key) const {
-    if (!is_object()) return false;
-    return object_rep().entries.count(key) > 0;
-}
+bool JsonValue::contains(std::string_view key) const { return find(key) != nullptr; }
 
-const JsonValue& JsonValue::at(const std::string& key) const {
+const JsonValue& JsonValue::at(std::string_view key) const {
     const auto& rep = object_rep();
-    auto it = rep.entries.find(key);
-    if (it == rep.entries.end()) throw LookupError("missing JSON key: " + key);
-    return it->second;
+    const std::size_t i = rep.index_of(key);
+    if (i == rep.keys.size()) {
+        throw LookupError("missing JSON key: " + std::string(key));
+    }
+    return rep.values[i];
 }
 
-JsonValue& JsonValue::at(const std::string& key) {
-    auto& rep = object_rep();
-    auto it = rep.entries.find(key);
-    if (it == rep.entries.end()) throw LookupError("missing JSON key: " + key);
-    return it->second;
+JsonValue& JsonValue::at(std::string_view key) {
+    return const_cast<JsonValue&>(std::as_const(*this).at(key));
 }
 
-double JsonValue::get_or(const std::string& key, double fallback) const {
-    return contains(key) ? at(key).as_number() : fallback;
+double JsonValue::get_or(std::string_view key, double fallback) const {
+    const JsonValue* v = find(key);
+    return v != nullptr ? v->as_number() : fallback;
 }
 
-std::string JsonValue::get_or(const std::string& key,
+std::string JsonValue::get_or(std::string_view key,
                               const std::string& fallback) const {
-    return contains(key) ? at(key).as_string() : fallback;
+    const JsonValue* v = find(key);
+    return v != nullptr ? v->as_string() : fallback;
 }
 
-bool JsonValue::get_or(const std::string& key, bool fallback) const {
-    return contains(key) ? at(key).as_bool() : fallback;
+bool JsonValue::get_or(std::string_view key, bool fallback) const {
+    const JsonValue* v = find(key);
+    return v != nullptr ? v->as_bool() : fallback;
 }
 
 const std::vector<std::string>& JsonValue::keys() const {
-    return object_rep().order;
+    return object_rep().keys;
 }
 
 void JsonValue::push_back(JsonValue value) {
@@ -122,84 +151,92 @@ void JsonValue::push_back(JsonValue value) {
 
 namespace {
 
-void dump_string(std::string& out, const std::string& s) {
+void dump_string(std::string& out, std::string_view s) {
     out.push_back('"');
-    for (char c : s) {
+    std::size_t run = 0;  // start of the characters not yet copied
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\') continue;
+        out.append(s, run, i - run);
+        run = i + 1;
         switch (c) {
             case '"': out += "\\\""; break;
             case '\\': out += "\\\\"; break;
             case '\n': out += "\\n"; break;
             case '\r': out += "\\r"; break;
             case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out.push_back(c);
-                }
+            default: {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x", c);
+                out += buf;
+            }
         }
     }
+    out.append(s, run);
     out.push_back('"');
 }
 
+/// Whole numbers below 1e15 print as integers, so integer output does
+/// not depend on the float formatter; -0 takes the float path, which
+/// keeps its sign.
 void dump_number(std::string& out, double d) {
-    if (d == std::floor(d) && std::fabs(d) < 1e15) {
-        out += std::to_string(static_cast<long long>(d));
-        return;
+    char buf[32];
+    std::to_chars_result r{};
+    if (d == std::floor(d) && std::fabs(d) < 1e15 && !(d == 0.0 && std::signbit(d))) {
+        r = std::to_chars(buf, buf + sizeof buf, static_cast<long long>(d));
+    } else {
+        r = std::to_chars(buf, buf + sizeof buf, d);
     }
-    std::ostringstream os;
-    os.precision(12);
-    os << d;
-    out += os.str();
+    CHIPLET_EXPECTS(r.ec == std::errc(), "number does not format");
+    out.append(buf, r.ptr);
+}
+
+void newline(std::string& out, int indent, int depth) {
+    if (indent <= 0) return;
+    out.push_back('\n');
+    out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(depth), ' ');
 }
 
 }  // namespace
 
 void JsonValue::dump_impl(std::string& out, int indent, int depth) const {
-    const std::string pad(indent > 0 ? static_cast<std::size_t>(indent * (depth + 1)) : 0, ' ');
-    const std::string closing_pad(indent > 0 ? static_cast<std::size_t>(indent * depth) : 0, ' ');
-    const char* nl = indent > 0 ? "\n" : "";
     switch (type()) {
         case Type::null: out += "null"; break;
-        case Type::boolean: out += as_bool() ? "true" : "false"; break;
-        case Type::number: dump_number(out, as_number()); break;
-        case Type::string: dump_string(out, as_string()); break;
+        case Type::boolean: out += std::get<bool>(value_) ? "true" : "false"; break;
+        case Type::number: dump_number(out, std::get<double>(value_)); break;
+        case Type::string: dump_string(out, std::get<std::string>(value_)); break;
         case Type::array: {
-            const auto& arr = as_array();
+            const auto& arr = std::get<JsonArray>(value_);
             if (arr.empty()) {
                 out += "[]";
                 break;
             }
-            out += "[";
-            out += nl;
+            out.push_back('[');
             for (std::size_t i = 0; i < arr.size(); ++i) {
-                out += pad;
+                if (i > 0) out.push_back(',');
+                newline(out, indent, depth + 1);
                 arr[i].dump_impl(out, indent, depth + 1);
-                if (i + 1 < arr.size()) out += ",";
-                out += nl;
             }
-            out += closing_pad + "]";
+            newline(out, indent, depth);
+            out.push_back(']');
             break;
         }
         case Type::object: {
-            const auto& rep = object_rep();
-            if (rep.order.empty()) {
+            const ObjectRep& rep = *std::get<std::shared_ptr<ObjectRep>>(value_);
+            if (rep.keys.empty()) {
                 out += "{}";
                 break;
             }
-            out += "{";
-            out += nl;
-            for (std::size_t i = 0; i < rep.order.size(); ++i) {
-                out += pad;
-                dump_string(out, rep.order[i]);
+            out.push_back('{');
+            for (std::size_t i = 0; i < rep.keys.size(); ++i) {
+                if (i > 0) out.push_back(',');
+                newline(out, indent, depth + 1);
+                dump_string(out, rep.keys[i]);
                 out += indent > 0 ? ": " : ":";
-                rep.entries.at(rep.order[i]).dump_impl(out, indent, depth + 1);
-                if (i + 1 < rep.order.size()) out += ",";
-                out += nl;
+                rep.values[i].dump_impl(out, indent, depth + 1);
             }
-            out += closing_pad + "}";
+            newline(out, indent, depth);
+            out.push_back('}');
             break;
         }
     }
@@ -298,7 +335,7 @@ private:
             skip_ws();
             expect(':');
             skip_ws();
-            obj.set(key, parse_value());
+            obj.set(std::move(key), parse_value());
             skip_ws();
             const char c = next();
             if (c == '}') return obj;
@@ -334,53 +371,58 @@ private:
         expect('"');
         std::string out;
         while (true) {
+            // Copy the run up to the next quote, escape or control
+            // character in one append.
+            const std::size_t run = pos_;
+            while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\' &&
+                   static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+                ++pos_;
+            }
+            out.append(text_, run, pos_ - run);
             const char c = next();
             if (c == '"') return out;
-            if (c == '\\') {
-                const char esc = next();
-                switch (esc) {
-                    case '"': out.push_back('"'); break;
-                    case '\\': out.push_back('\\'); break;
-                    case '/': out.push_back('/'); break;
-                    case 'b': out.push_back('\b'); break;
-                    case 'f': out.push_back('\f'); break;
-                    case 'n': out.push_back('\n'); break;
-                    case 'r': out.push_back('\r'); break;
-                    case 't': out.push_back('\t'); break;
-                    case 'u': {
-                        unsigned code = 0;
-                        for (int i = 0; i < 4; ++i) {
-                            const char h = next();
-                            code <<= 4;
-                            if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
-                            else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
-                            else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
-                            else {
-                                --pos_;
-                                fail("invalid \\u escape digit");
-                            }
-                        }
-                        if (code < 0x80) {
-                            out.push_back(static_cast<char>(code));
-                        } else if (code < 0x800) {
-                            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-                            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-                        } else {
-                            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-                            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-                            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-                        }
-                        break;
-                    }
-                    default:
-                        --pos_;
-                        fail("invalid escape sequence");
-                }
-            } else if (static_cast<unsigned char>(c) < 0x20) {
+            if (c != '\\') {
                 --pos_;
                 fail("unescaped control character in string");
-            } else {
-                out.push_back(c);
+            }
+            const char esc = next();
+            switch (esc) {
+                case '"': out.push_back('"'); break;
+                case '\\': out.push_back('\\'); break;
+                case '/': out.push_back('/'); break;
+                case 'b': out.push_back('\b'); break;
+                case 'f': out.push_back('\f'); break;
+                case 'n': out.push_back('\n'); break;
+                case 'r': out.push_back('\r'); break;
+                case 't': out.push_back('\t'); break;
+                case 'u': {
+                    unsigned code = 0;
+                    for (int i = 0; i < 4; ++i) {
+                        const char h = next();
+                        code <<= 4;
+                        if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
+                        else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
+                        else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
+                        else {
+                            --pos_;
+                            fail("invalid \\u escape digit");
+                        }
+                    }
+                    if (code < 0x80) {
+                        out.push_back(static_cast<char>(code));
+                    } else if (code < 0x800) {
+                        out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+                        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+                    } else {
+                        out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+                        out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+                        out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+                    }
+                    break;
+                }
+                default:
+                    --pos_;
+                    fail("invalid escape sequence");
             }
         }
     }
@@ -416,13 +458,16 @@ private:
                 ++pos_;
             }
         }
-        try {
-            return JsonValue(std::stod(text_.substr(start, pos_ - start)));
-        } catch (const std::out_of_range&) {
-            // e.g. "1e99999": grammatically valid but unrepresentable.
+        // The span is grammatical, so from_chars consumes all of it; the
+        // one failure left is "1e99999": valid but unrepresentable.
+        double value = 0.0;
+        const char* last = text_.data() + pos_;
+        const auto [ptr, ec] = std::from_chars(text_.data() + start, last, value);
+        if (ec != std::errc() || ptr != last) {
             pos_ = start;
             fail("number out of double range");
         }
+        return JsonValue(value);
     }
 
     const std::string& text_;
@@ -588,10 +633,9 @@ bool parse_full_number(const std::string& s, double& out) {
 }
 
 std::string exact_number_string(double d) {
-    char buf[64];
-    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), d);
-    CHIPLET_EXPECTS(ec == std::errc(), "number does not format");
-    return std::string(buf, ptr);
+    std::string out;
+    dump_number(out, d);
+    return out;
 }
 
 namespace {

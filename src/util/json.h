@@ -1,14 +1,15 @@
 // Minimal JSON value model, parser and serialiser.  Used for loading
 // user-supplied technology libraries and exporting model results.  Supports
 // the full JSON grammar except for \u escapes beyond Latin-1; numbers are
-// stored as double (sufficient for cost-model parameters).
+// stored as double (sufficient for cost-model parameters) and printed
+// losslessly: parse(dump(v)) reproduces every number bit for bit.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -20,7 +21,10 @@ class JsonValue;
 /// saved tech library round-trips readably.
 using JsonArray = std::vector<JsonValue>;
 
-/// JSON document node.  Value-semantic; copies are deep.
+/// JSON document node.  Copies share objects: copying an object, or an
+/// array holding objects, aliases the original's members, so a `set` on
+/// the copy shows through the original.  Build an independent document
+/// with parse(dump()).
 class JsonValue {
 public:
     enum class Type { null, boolean, number, string, array, object };
@@ -56,16 +60,20 @@ public:
     [[nodiscard]] const JsonArray& as_array() const;
     [[nodiscard]] JsonArray& as_array();
 
-    /// Object access.  `set` inserts or overwrites; `at` throws LookupError
-    /// for missing keys; `get_or` returns a fallback.
-    void set(const std::string& key, JsonValue value);
-    [[nodiscard]] bool contains(const std::string& key) const;
-    [[nodiscard]] const JsonValue& at(const std::string& key) const;
-    [[nodiscard]] JsonValue& at(const std::string& key);
-    [[nodiscard]] double get_or(const std::string& key, double fallback) const;
-    [[nodiscard]] std::string get_or(const std::string& key,
+    /// Object access.  `set` appends a new key or overwrites an existing
+    /// one in place, keeping its position; `at` throws LookupError for
+    /// missing keys; `get_or` returns a fallback.  Lookups scan the keys
+    /// linearly (objects here are small).  A reference returned by `at`
+    /// is invalidated by a later `set` of a *new* key on the same object.
+    void set(std::string key, JsonValue value);
+    [[nodiscard]] bool contains(std::string_view key) const;
+    [[nodiscard]] const JsonValue& at(std::string_view key) const;
+    [[nodiscard]] JsonValue& at(std::string_view key);
+    [[nodiscard]] double get_or(std::string_view key, double fallback) const;
+    [[nodiscard]] std::string get_or(std::string_view key,
                                      const std::string& fallback) const;
-    [[nodiscard]] bool get_or(const std::string& key, bool fallback) const;
+    [[nodiscard]] bool get_or(std::string_view key, bool fallback) const;
+    /// Keys in insertion order.
     [[nodiscard]] const std::vector<std::string>& keys() const;
 
     /// Array append.
@@ -85,19 +93,20 @@ public:
     void save_file(const std::string& path, int indent = 2) const;
 
 private:
-    struct ObjectRep {
-        std::vector<std::string> order;
-        std::map<std::string, JsonValue> entries;
-    };
+    // Keys in insertion order and their values, index for index
+    // (defined in json.cpp).
+    struct ObjectRep;
 
     // shared_ptr keeps JsonValue copyable while ObjectRep stays incomplete
-    // in the variant; deep copy happens explicitly in set()/parse paths.
+    // here; it is also why object copies share their members.
     using Storage = std::variant<std::monostate, bool, double, std::string,
                                  JsonArray, std::shared_ptr<ObjectRep>>;
 
     void dump_impl(std::string& out, int indent, int depth) const;
     [[nodiscard]] ObjectRep& object_rep();
     [[nodiscard]] const ObjectRep& object_rep() const;
+    /// The value under `key`, or nullptr (also when not an object).
+    [[nodiscard]] const JsonValue* find(std::string_view key) const;
 
     Storage value_;
 };
@@ -129,10 +138,11 @@ struct JsonDiffOptions {
 /// json_diff's numeric-string mode and the table renderers.
 [[nodiscard]] bool parse_full_number(const std::string& s, double& out);
 
-/// Shortest decimal string that parses back to exactly `d` — unlike the
-/// 12-significant-digit JSON number serialisation, which can map two
-/// distinct doubles to the same text.  For side channels that must
-/// round-trip ordering keys losslessly (sharded design-space dispatch).
+/// The text JsonValue::dump writes for the number `d`: whole numbers
+/// below 1e15 in magnitude as plain integers, everything else as the
+/// shortest decimal that parses back to exactly `d` (std::to_chars), so
+/// distinct doubles never share a text.  Also carries the design-space
+/// "order_keys" strings.
 [[nodiscard]] std::string exact_number_string(double d);
 
 /// Field reader over one JSON object with a uniform, context-carrying

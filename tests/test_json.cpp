@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "util/error.h"
 
 namespace chiplet {
@@ -102,11 +108,45 @@ TEST(JsonDump, IntegersWithoutDecimalPoint) {
     EXPECT_EQ(JsonValue(2.5).dump(), "2.5");
 }
 
+TEST(JsonDump, NumbersRoundTripBitForBit) {
+    for (const double d : {0.1 + 0.2, 1.0 / 3, 10.630864241569295, 5e-324,
+                           DBL_MAX, 1e15 + 0.5, -0.0}) {
+        const std::string text = JsonValue(d).dump();
+        const double back = JsonValue::parse(text).as_number();
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(back), std::bit_cast<std::uint64_t>(d))
+            << text;
+    }
+    EXPECT_EQ(JsonValue(-0.0).dump(), "-0");
+    EXPECT_EQ(JsonValue(10.630864241569295).dump(), "10.630864241569295");
+    // Whole numbers below 1e15 keep the plain integer form.
+    EXPECT_EQ(JsonValue(0.0).dump(), "0");
+    EXPECT_EQ(JsonValue(100000.0).dump(), "100000");
+    EXPECT_EQ(JsonValue(-999999999999999.0).dump(), "-999999999999999");
+}
+
+TEST(JsonParse, OutOfRangeNumberReportsItsColumn) {
+    try {
+        (void)JsonValue::parse("[1, 1e99999]");
+        FAIL() << "expected ParseError";
+    } catch (const ParseError& e) {
+        EXPECT_STREQ(e.what(),
+                     "JSON parse error at line 1, column 5: number out of double range");
+    }
+}
+
+TEST(JsonParse, DuplicateKeysKeepFirstPositionAndLastValue) {
+    const JsonValue v = JsonValue::parse(R"({"a":1,"b":2,"a":3})");
+    EXPECT_EQ(v.keys(), (std::vector<std::string>{"a", "b"}));
+    EXPECT_DOUBLE_EQ(v.at("a").as_number(), 3.0);
+    EXPECT_EQ(v.dump(), R"({"a":3,"b":2})");
+}
+
 TEST(JsonValue, SetOverwritesWithoutDuplicatingKey) {
     JsonValue v = JsonValue::object();
     v.set("k", 1);
+    v.set("j", 0);
     v.set("k", 2);
-    EXPECT_EQ(v.keys().size(), 1u);
+    EXPECT_EQ(v.keys(), (std::vector<std::string>{"k", "j"}));
     EXPECT_DOUBLE_EQ(v.at("k").as_number(), 2.0);
 }
 
@@ -130,6 +170,11 @@ TEST(JsonValue, TypeMismatchThrows) {
 TEST(JsonValue, MissingKeyThrows) {
     const JsonValue v = JsonValue::object();
     EXPECT_THROW((void)v.at("nope"), LookupError);
+    try {
+        (void)v.at("nope");
+    } catch (const LookupError& e) {
+        EXPECT_STREQ(e.what(), "missing JSON key: nope");
+    }
 }
 
 TEST(JsonValue, MutableAtAllowsEditing) {

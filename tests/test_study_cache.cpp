@@ -1,15 +1,19 @@
 // The canonical-spec result cache (explore/study_cache.h): exact hits,
 // LRU eviction order, memory-bound enforcement, collision fall-through
-// through the hash_bits seam, counter accuracy, and thread safety.
+// through the hash_bits seam, counter accuracy, thread safety, and spec
+// identity down to the last bit of every number.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/actuary.h"
+#include "explore/cache_store.h"
 #include "explore/spec_hash.h"
 #include "explore/study.h"
 #include "explore/study_cache.h"
@@ -228,6 +232,81 @@ TEST_F(StudyCacheTest, CollectingBatchRecordsModelFailures) {
     EXPECT_TRUE(warm.results[1].run.from_cache);
     ASSERT_EQ(warm.failures.size(), 1u);
     EXPECT_EQ(warm.failures[0].name, "bad_node");
+}
+
+/// Two quantity_sweep specs that differ only in the 15th significant
+/// digit of module_area_mm2.
+std::vector<StudySpec> near_twin_specs() {
+    std::vector<StudySpec> specs;
+    for (const double area : {800.0, 800.000000000001}) {
+        StudySpec spec;
+        spec.name = "twin";
+        QuantitySweepConfig config;
+        config.module_area_mm2 = area;
+        spec.config = config;
+        specs.push_back(spec);
+    }
+    return specs;
+}
+
+TEST_F(StudyCacheTest, SpecsDifferingInThe15thDigitKeepTheirOwnResults) {
+    // The canonical spec string keys the cache, the disk store and batch
+    // dedup; if it rounded numbers, the second twin would be served the
+    // first one's payload.
+    const std::vector<StudySpec> specs = near_twin_specs();
+    EXPECT_NE(canonical_spec_json(specs[0]), canonical_spec_json(specs[1]));
+
+    JsonDiffOptions exact;
+    exact.tolerance = 0.0;
+    exact.ignore_keys = {"meta"};
+    exact.numeric_strings = false;
+    std::vector<JsonValue> fresh;
+    for (const StudySpec& spec : specs) {
+        fresh.push_back(to_json(run_study(actuary_, spec)));
+    }
+    ASSERT_NE(json_diff(fresh[0], fresh[1], exact), "")
+        << "the twins must price differently for this test to mean anything";
+
+    StudyCache cache;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const StudyResult r = run_study_cached(actuary_, specs[i], cache);
+        EXPECT_FALSE(r.run.from_cache) << i;
+        EXPECT_EQ(json_diff(to_json(r), fresh[i], exact), "") << i;
+    }
+
+    const StudyBatchOutcome batch = run_studies_collecting(actuary_, specs);
+    ASSERT_EQ(batch.results.size(), specs.size());
+    for (std::size_t k = 0; k < batch.results.size(); ++k) {
+        EXPECT_EQ(json_diff(to_json(batch.results[k]),
+                            fresh[batch.indices[k]], exact),
+                  "")
+            << k;
+    }
+
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("chiplet_twin_specs_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+    {
+        StudyCacheStore store({dir, 0});
+        StudyCache writer;
+        writer.attach_store(&store);
+        for (const StudySpec& spec : specs) {
+            (void)run_study_cached(actuary_, spec, writer);
+        }
+        EXPECT_EQ(store.stats().writes, specs.size());
+    }
+    StudyCacheStore store({dir, 0});
+    StudyCache restarted;
+    store.load_into(restarted);
+    EXPECT_EQ(store.stats().loaded, specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const std::optional<StudyResult> hit = restarted.lookup(specs[i]);
+        ASSERT_TRUE(hit.has_value()) << i;
+        EXPECT_EQ(json_diff(to_json(*hit), fresh[i], exact), "") << i;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST_F(StudyCacheTest, ConcurrentLookupsAndInsertsAreSafe) {

@@ -30,7 +30,8 @@ class ChipletActuary;
 /// Bump when the cost equations, result schema, or cache codec change
 /// in any way that invalidates persisted results.
 /// 2: JSON numbers print as shortest round-trip text instead of 12
-/// significant digits, so canonical spec strings (the cache keys) changed.
+/// significant digits, so canonical spec strings (the cache keys) changed;
+/// the design-space codec also lost its index-window flag.
 inline constexpr int kModelSchemaVersion = 2;
 
 /// Fingerprint of the model `actuary` evaluates with (schema + ledger

@@ -556,7 +556,6 @@ std::optional<DesignSpaceResult> explore_design_space_kernel(
 
     DesignSpaceResult out;
     out.total_candidates = end - begin;
-    out.windowed = config.index_begin > 0 || config.index_end > 0;
 
     // Candidate rows carry only what the ranking needs; the kept few are
     // materialised into full DesignCandidates at the end.
@@ -911,7 +910,6 @@ DesignSpaceResult explore_design_space_reference(
 
     DesignSpaceResult out;
     out.total_candidates = end - begin;
-    out.windowed = config.index_begin > 0 || config.index_end > 0;
 
     // `kept` is a max-heap under `cheaper`: the worst retained candidate
     // sits on top and is evicted when a better one arrives.  Candidates

@@ -114,12 +114,6 @@ struct DesignSpaceResult {
     std::uint64_t total_candidates = 0;  ///< size of the enumerated space
     std::uint64_t pruned = 0;            ///< dropped by the geometry pre-screen
     std::uint64_t evaluated = 0;         ///< total_candidates - pruned
-    /// True when the config restricted the scan with an index window.
-    /// Windowed result documents carry exact per-entry ordering keys
-    /// (the shortest round-trip text of total_per_unit) so a dispatcher
-    /// can merge shard rankings in the precise order the single-process
-    /// comparator would produce.
-    bool windowed = false;
 
     [[nodiscard]] double pruned_fraction() const {
         return total_candidates > 0

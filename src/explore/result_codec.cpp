@@ -295,7 +295,6 @@ void io(Ar& ar, DesignSpaceResult& v) {
     ar.u64(v.total_candidates);
     ar.u64(v.pruned);
     ar.u64(v.evaluated);
-    ar.boolean(v.windowed);
 }
 
 template <class Ar>

@@ -514,19 +514,6 @@ JsonValue payload_to_json(const DesignSpaceResult& result) {
     v.set("evaluated", static_cast<double>(result.evaluated));
     v.set("pruned_fraction", result.pruned_fraction());
     v.set("best", std::move(best));
-    // Windowed (shard) runs only: lossless ordering keys, aligned with
-    // "best".  The payload's total_per_unit is serialised at 12
-    // significant digits, which can render two raw-distinct totals
-    // identically — a merging dispatcher needs the exact doubles to
-    // reproduce the single-process ranking.  Whole-space documents (and
-    // the committed golden) keep their exact shape.
-    if (result.windowed) {
-        JsonValue keys = JsonValue::array();
-        for (const DesignCandidate& c : result.best) {
-            keys.push_back(exact_number_string(c.total_per_unit()));
-        }
-        v.set("order_keys", std::move(keys));
-    }
     return v;
 }
 

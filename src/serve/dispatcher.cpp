@@ -224,26 +224,11 @@ JsonValue Dispatcher::run_sharded(const core::ChipletActuary& actuary,
             throw Error("dispatch: worker " + shards[i].worker.label() +
                         " returned a table misaligned with its ranking");
         }
-        // Windowed runs publish "order_keys" alongside the payload
-        // numbers; ordering on the exact doubles is what makes the
-        // merged ranking reproduce the single-process comparator for
-        // near-tied candidates.
-        const JsonArray* keys = nullptr;
-        if (result.contains("order_keys")) {
-            keys = &result.at("order_keys").as_array();
-            if (keys->size() != best.size()) {
-                throw Error("dispatch: worker " + shards[i].worker.label() +
-                            " returned order_keys misaligned with its ranking");
-            }
-        }
         for (std::size_t j = 0; j < best.size(); ++j) {
             MergeEntry entry;
+            // JSON numbers round-trip exactly, so this is the very double
+            // the worker's comparator ranked by.
             entry.total = best[j].at("total_per_unit").as_number();
-            if (keys != nullptr &&
-                !parse_full_number((*keys)[j].as_string(), entry.total)) {
-                throw Error("dispatch: worker " + shards[i].worker.label() +
-                            " returned an unparsable order key");
-            }
             entry.index = best[j].at("index").as_number();
             entry.best = best[j];
             entry.row = rows[j];
@@ -282,16 +267,6 @@ JsonValue Dispatcher::run_sharded(const core::ChipletActuary& actuary,
                              static_cast<double>(total_candidates)
                        : 0.0);
     result_out.set("best", std::move(best_out));
-    // A spec that was itself windowed serialises order_keys when run in
-    // one process, so the merged document carries them too; whole-space
-    // specs must not gain the field.
-    if (config.index_begin > 0 || config.index_end > 0) {
-        JsonValue keys_out = JsonValue::array();
-        for (const MergeEntry& entry : entries) {
-            keys_out.push_back(exact_number_string(entry.total));
-        }
-        result_out.set("order_keys", std::move(keys_out));
-    }
 
     JsonValue table_out = JsonValue::object();
     table_out.set("columns", docs.front().at("table").at("columns"));

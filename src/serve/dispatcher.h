@@ -12,12 +12,9 @@
 // "best" entries and table rows through verbatim rather than re-rounding
 // recomputed numbers.  Only the table's rank cells (strings) are
 // rewritten, and the space accounting (total/pruned/evaluated) is summed
-// from exact integers.  Windowed result documents carry "order_keys"
-// (shortest round-trip strings, present only when an index window is
-// set), and the merge sorts on those exact doubles — the same
-// comparator the single-process bounded heap uses.  The payload numbers
-// print losslessly too, so the keys are redundant; they date from
-// 12-digit JSON numbers and go with the dispatcher.
+// from exact integers.  JSON numbers print as shortest round-trip text,
+// so the merge sorts on each entry's parsed total_per_unit — exactly the
+// double the worker ranked by — with the single-process comparator.
 //
 // Failure model: a dead or misbehaving worker fails the sharded study —
 // there is no silent partial ranking — and surfaces as a structured

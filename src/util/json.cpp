@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -16,14 +17,70 @@
 namespace chiplet {
 
 struct JsonValue::ObjectRep {
+    /// Objects up to this many keys are searched by a linear scan; a
+    /// larger one (only untrusted input makes those) gets an ordered
+    /// index, so parsing n keys stays O(n log n).
+    static constexpr std::size_t kScanLimit = 16;
+
+    /// Orders positions in `keys` by the key text they hold; transparent,
+    /// so the index is searched with a string_view.
+    struct KeyLess {
+        using is_transparent = void;
+        const std::vector<std::string>* keys;
+        bool operator()(std::size_t a, std::size_t b) const {
+            return (*keys)[a] < (*keys)[b];
+        }
+        bool operator()(std::size_t a, std::string_view b) const {
+            return (*keys)[a] < b;
+        }
+        bool operator()(std::string_view a, std::size_t b) const {
+            return a < (*keys)[b];
+        }
+    };
+
     std::vector<std::string> keys;
     std::vector<JsonValue> values;
+    /// Every position of `keys` once it outgrows kScanLimit; empty before.
+    std::set<std::size_t, KeyLess> index{KeyLess{&keys}};
+
+    ObjectRep() = default;
+    // `index` points at this object's own `keys`.
+    ObjectRep(const ObjectRep&) = delete;
+    ObjectRep& operator=(const ObjectRep&) = delete;
 
     /// Position of `key`, or keys.size() when absent.
     [[nodiscard]] std::size_t index_of(std::string_view key) const {
+        if (!index.empty()) {
+            const auto it = index.find(key);
+            return it != index.end() ? *it : keys.size();
+        }
         std::size_t i = 0;
         while (i < keys.size() && keys[i] != key) ++i;
         return i;
+    }
+
+    /// Adds a key that index_of reported absent.  On failure the object
+    /// is left as it was.
+    void append(std::string key, JsonValue value) {
+        const std::size_t i = keys.size();
+        if (index.empty() && i + 1 > kScanLimit) {
+            try {
+                for (std::size_t j = 0; j < i; ++j) index.insert(index.end(), j);
+            } catch (...) {
+                index.clear();
+                throw;
+            }
+        }
+        keys.push_back(std::move(key));
+        try {
+            values.push_back(std::move(value));
+            if (!index.empty()) index.insert(i);
+        } catch (...) {
+            // keep the vectors and the index aligned
+            if (values.size() > i) values.pop_back();
+            keys.pop_back();
+            throw;
+        }
     }
 };
 
@@ -100,13 +157,7 @@ void JsonValue::set(std::string key, JsonValue value) {
         rep.values[i] = std::move(value);
         return;
     }
-    rep.keys.push_back(std::move(key));
-    try {
-        rep.values.push_back(std::move(value));
-    } catch (...) {
-        rep.keys.pop_back();  // keep the two vectors aligned
-        throw;
-    }
+    rep.append(std::move(key), std::move(value));
 }
 
 bool JsonValue::contains(std::string_view key) const { return find(key) != nullptr; }
@@ -264,6 +315,28 @@ public:
     }
 
 private:
+    /// Deeper nesting is rejected: parsing, dumping and destroying a
+    /// document each recurse once per level.
+    static constexpr std::size_t kMaxDepth = 512;
+
+    /// Counts one level of nesting for the lifetime of a container parse.
+    class Nesting {
+    public:
+        explicit Nesting(Parser& parser) : parser_(parser) {
+            if (parser_.depth_ == kMaxDepth) {
+                parser_.fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                             " levels");
+            }
+            ++parser_.depth_;
+        }
+        ~Nesting() { --parser_.depth_; }
+        Nesting(const Nesting&) = delete;
+        Nesting& operator=(const Nesting&) = delete;
+
+    private:
+        Parser& parser_;
+    };
+
     [[noreturn]] void fail(const std::string& message) const {
         std::size_t line = 1;
         std::size_t col = 1;
@@ -322,6 +395,7 @@ private:
     }
 
     JsonValue parse_object() {
+        const Nesting nesting(*this);
         expect('{');
         JsonValue obj = JsonValue::object();
         skip_ws();
@@ -347,6 +421,7 @@ private:
     }
 
     JsonValue parse_array() {
+        const Nesting nesting(*this);
         expect('[');
         JsonValue arr = JsonValue::array();
         skip_ws();
@@ -472,6 +547,7 @@ private:
 
     const std::string& text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace
@@ -630,12 +706,6 @@ bool parse_full_number(const std::string& s, double& out) {
     errno = 0;
     out = std::strtod(s.c_str(), &end);
     return errno == 0 && end == s.c_str() + s.size();
-}
-
-std::string exact_number_string(double d) {
-    std::string out;
-    dump_number(out, d);
-    return out;
 }
 
 namespace {

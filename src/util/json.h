@@ -62,9 +62,10 @@ public:
 
     /// Object access.  `set` appends a new key or overwrites an existing
     /// one in place, keeping its position; `at` throws LookupError for
-    /// missing keys; `get_or` returns a fallback.  Lookups scan the keys
-    /// linearly (objects here are small).  A reference returned by `at`
-    /// is invalidated by a later `set` of a *new* key on the same object.
+    /// missing keys; `get_or` returns a fallback.  Small objects are
+    /// searched linearly, large ones through an ordered index.  A
+    /// reference returned by `at` is invalidated by a later `set` of a
+    /// *new* key on the same object.
     void set(std::string key, JsonValue value);
     [[nodiscard]] bool contains(std::string_view key) const;
     [[nodiscard]] const JsonValue& at(std::string_view key) const;
@@ -137,13 +138,6 @@ struct JsonDiffOptions {
 /// string is empty, has a non-numeric suffix, or overflows.  Shared by
 /// json_diff's numeric-string mode and the table renderers.
 [[nodiscard]] bool parse_full_number(const std::string& s, double& out);
-
-/// The text JsonValue::dump writes for the number `d`: whole numbers
-/// below 1e15 in magnitude as plain integers, everything else as the
-/// shortest decimal that parses back to exactly `d` (std::to_chars), so
-/// distinct doubles never share a text.  Also carries the design-space
-/// "order_keys" strings.
-[[nodiscard]] std::string exact_number_string(double d);
 
 /// Field reader over one JSON object with a uniform, context-carrying
 /// error format shared by every loader (tech, design, study):

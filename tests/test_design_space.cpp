@@ -381,7 +381,6 @@ void expect_identical_results(const DesignSpaceResult& fast,
     EXPECT_EQ(fast.total_candidates, ref.total_candidates);
     EXPECT_EQ(fast.pruned, ref.pruned);
     EXPECT_EQ(fast.evaluated, ref.evaluated);
-    EXPECT_EQ(fast.windowed, ref.windowed);
     ASSERT_EQ(fast.best.size(), ref.best.size());
     for (std::size_t i = 0; i < fast.best.size(); ++i) {
         const DesignCandidate& a = fast.best[i];

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cfloat>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -139,6 +140,65 @@ TEST(JsonParse, DuplicateKeysKeepFirstPositionAndLastValue) {
     EXPECT_EQ(v.keys(), (std::vector<std::string>{"a", "b"}));
     EXPECT_DOUBLE_EQ(v.at("a").as_number(), 3.0);
     EXPECT_EQ(v.dump(), R"({"a":3,"b":2})");
+}
+
+TEST(JsonParse, ManyKeysKeepOrderAndParseQuickly) {
+    // A key-by-key scan would make this quadratic: about 2e10 key
+    // comparisons, minutes of CPU.
+    constexpr int kKeys = 200000;
+    std::string text = "{";
+    for (int i = 0; i < kKeys; ++i) {
+        text += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
+    }
+    text += "\"k123\":-1}";  // a duplicate: first position, last value
+    const auto start = std::chrono::steady_clock::now();
+    const JsonValue v = JsonValue::parse(text);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_LT(seconds, 10.0);
+    const std::vector<std::string>& keys = v.keys();
+    ASSERT_EQ(keys.size(), static_cast<std::size_t>(kKeys));
+    for (int i = 0; i < kKeys; ++i) {
+        ASSERT_EQ(keys[static_cast<std::size_t>(i)], "k" + std::to_string(i));
+        ASSERT_DOUBLE_EQ(v.at(keys[static_cast<std::size_t>(i)]).as_number(),
+                         i == 123 ? -1.0 : i);
+    }
+    EXPECT_FALSE(v.contains("k200000"));
+}
+
+TEST(JsonValue, LookupsHoldAcrossTheScanLimit) {
+    JsonValue v = JsonValue::object();
+    std::vector<std::string> expected;
+    for (int i = 0; i < 40; ++i) {
+        expected.push_back("key" + std::to_string(39 - i));
+        v.set(expected.back(), i);
+        for (int j = 0; j <= i; ++j) {
+            ASSERT_DOUBLE_EQ(v.at(expected[static_cast<std::size_t>(j)]).as_number(), j);
+        }
+        ASSERT_FALSE(v.contains("key" + std::to_string(40 + i)));
+    }
+    v.set("key39", -1);  // overwrites position 0 in place
+    v.set("key0", -2);   // and the last position
+    EXPECT_EQ(v.keys(), expected);
+    EXPECT_DOUBLE_EQ(v.at("key39").as_number(), -1.0);
+    EXPECT_DOUBLE_EQ(v.at("key0").as_number(), -2.0);
+    EXPECT_THROW((void)v.at("key40"), LookupError);
+}
+
+TEST(JsonParse, NestingDeeperThan512LevelsIsRejected) {
+    EXPECT_NO_THROW((void)JsonValue::parse(std::string(512, '[') + std::string(512, ']')));
+    try {
+        (void)JsonValue::parse(std::string(513, '[') + std::string(513, ']'));
+        FAIL() << "expected ParseError";
+    } catch (const ParseError& e) {
+        EXPECT_STREQ(e.what(),
+                     "JSON parse error at line 1, column 513: nesting deeper than 512 levels");
+    }
+    std::string objects;
+    for (int i = 0; i < 600; ++i) objects += "{\"a\":";
+    objects += "0" + std::string(600, '}');
+    EXPECT_THROW((void)JsonValue::parse(objects), ParseError);
 }
 
 TEST(JsonValue, SetOverwritesWithoutDuplicatingKey) {

@@ -68,21 +68,20 @@ StudyCacheStore::StudyCacheStore(Config config)
 StudyCacheStore::~StudyCacheStore() { delete impl_; }
 
 void StudyCacheStore::put(const std::string& canonical, std::uint64_t hash,
-                          const StudyResult& result) {
-    std::string blob;
-    blob.reserve(canonical.size() + 256);
-    blob.append(kMagic, kMagicSize);
-    append_u64(blob, impl_->config.fingerprint);
-    append_u64(blob, hash);
-    append_u64(blob, canonical.size());
-    blob.append(canonical);
-    const std::string body = encode_result(result);
-    append_u64(blob, body.size());
-    blob.append(body);
-    append_u64(blob, fnv1a64(blob));
+                          std::string_view blob) {
+    std::string file;
+    file.reserve(kMagicSize + 8 * 5 + canonical.size() + blob.size());
+    file.append(kMagic, kMagicSize);
+    append_u64(file, impl_->config.fingerprint);
+    append_u64(file, hash);
+    append_u64(file, canonical.size());
+    file.append(canonical);
+    append_u64(file, blob.size());
+    file.append(blob);
+    append_u64(file, fnv1a64(file));
 
     const bool ok = util::write_file_atomic(
-        impl_->config.dir + "/" + hash_filename(hash), blob);
+        impl_->config.dir + "/" + hash_filename(hash), file);
     std::lock_guard<std::mutex> lock(impl_->mutex);
     if (ok) {
         ++impl_->counters.writes;
@@ -144,14 +143,13 @@ void StudyCacheStore::load_into(StudyCache& cache) {
             ++corrupt;
             continue;
         }
+        std::string body(cursor, static_cast<std::size_t>(body_size));
         StudyResult result;
-        if (!decode_result(
-                std::string_view(cursor, static_cast<std::size_t>(body_size)),
-                result)) {
+        if (!decode_result(body, result)) {
             ++corrupt;
             continue;
         }
-        cache.insert(canonical, hash, result);
+        cache.insert_encoded(canonical, hash, std::move(body));
         ++loaded;
     }
 

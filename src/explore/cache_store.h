@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "explore/study.h"
 
@@ -56,15 +57,19 @@ public:
     StudyCacheStore(const StudyCacheStore&) = delete;
     StudyCacheStore& operator=(const StudyCacheStore&) = delete;
 
-    /// Persists one entry atomically.  Failures (unwritable directory,
-    /// full disk) are counted, not thrown — persistence is an
+    /// Persists one entry atomically.  `blob` is the result's
+    /// encode_result body, which the cache already holds for its own
+    /// entry, so nothing is encoded twice.  Failures (unwritable
+    /// directory, full disk) are counted, not thrown — persistence is an
     /// optimisation, never a serving-path error.
     void put(const std::string& canonical, std::uint64_t hash,
-             const StudyResult& result);
+             std::string_view blob);
 
     /// Replays every readable, current-fingerprint entry into `cache`
-    /// via StudyCache::insert.  Call *before* attaching this store to
-    /// the cache, or the load rewrites every file it just read.
+    /// via StudyCache::insert_encoded: the body it read (and decoded
+    /// once, to check it) becomes the entry's blob.  Call *before*
+    /// attaching this store to the cache, or the load rewrites every
+    /// file it just read.
     void load_into(StudyCache& cache);
 
     struct Stats {

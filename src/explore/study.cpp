@@ -1,7 +1,9 @@
 #include "explore/study.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <optional>
 #include <utility>
 
@@ -411,6 +413,56 @@ std::vector<StudyResult> run_studies(const core::ChipletActuary& actuary,
         out.push_back(*std::move(run.results[i]));
     }
     return out;
+}
+
+StudyBatchOutcome run_studies_collecting(const core::ChipletActuary& actuary,
+                                         std::span<const StudySpec> specs,
+                                         std::span<const std::string> canonicals) {
+    // The compiled execution graph (explore/study_graph.h) shares cost
+    // cells across overlapping studies and serves byte-identical specs
+    // once; payloads stay bit-identical to a serial run_study loop.
+    StudyGraphRun run = run_study_graph(actuary, specs, canonicals);
+
+    StudyBatchOutcome out;
+    out.graph = run.stats;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (run.results[i]) {
+            out.results.push_back(*std::move(run.results[i]));
+            out.indices.push_back(i);
+            continue;
+        }
+        StudyFailure failure;
+        failure.index = i;
+        failure.name = specs[i].name;
+        try {
+            std::rethrow_exception(run.errors[i]);
+        } catch (const ParseError& e) {
+            failure.stage = "parse";
+            failure.message = e.what();
+        } catch (const Error& e) {
+            failure.stage = "model";
+            failure.message = e.what();
+        }
+        out.failures.push_back(std::move(failure));
+    }
+    return out;
+}
+
+std::vector<StudyFailure> merge_failures(
+    std::vector<StudyFailure> parse_failures,
+    std::vector<StudyFailure> run_failures,
+    std::span<const std::size_t> kept_indices) {
+    for (StudyFailure& f : run_failures) {
+        f.index = kept_indices[f.index];
+    }
+    parse_failures.insert(parse_failures.end(),
+                          std::make_move_iterator(run_failures.begin()),
+                          std::make_move_iterator(run_failures.end()));
+    std::sort(parse_failures.begin(), parse_failures.end(),
+              [](const StudyFailure& a, const StudyFailure& b) {
+                  return a.index < b.index;
+              });
+    return parse_failures;
 }
 
 }  // namespace chiplet::explore

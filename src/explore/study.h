@@ -188,8 +188,6 @@ struct StudyResult {
 [[nodiscard]] std::vector<StudyResult> run_studies(
     const core::ChipletActuary& actuary, std::span<const StudySpec> specs);
 
-class StudyCache;  // explore/study_cache.h
-
 /// One study that could not be loaded or evaluated.  `index` is the
 /// position in whatever batch the caller submitted (callers that
 /// filtered a document before running remap it to the document index).
@@ -234,12 +232,13 @@ struct StudyBatchOutcome {
 /// run_studies that records per-study errors instead of rethrowing the
 /// first one: a batch with bad studies still evaluates every good one.
 /// ParseError (bad tech override) reports stage "parse"; every other
-/// chiplet::Error reports stage "model".  With a cache, hits skip
-/// evaluation and are flagged via StudyRunInfo::from_cache.  Payloads
-/// stay bit-identical to a serial cacheless run either way.
+/// chiplet::Error reports stage "model".  Payloads stay bit-identical
+/// to a serial run_study loop.  `canonicals` is as for run_study_graph
+/// (explore/study_graph.h): the specs' canonical forms when the caller
+/// holds them already, else empty.
 [[nodiscard]] StudyBatchOutcome run_studies_collecting(
     const core::ChipletActuary& actuary, std::span<const StudySpec> specs,
-    StudyCache* cache = nullptr);
+    std::span<const std::string> canonicals = {});
 
 /// Combines loader-stage and run-stage failures into one document-order
 /// report: every run failure's batch index is remapped through

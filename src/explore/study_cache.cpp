@@ -1,8 +1,6 @@
 #include "explore/study_cache.h"
 
-#include <algorithm>
 #include <atomic>
-#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -11,57 +9,41 @@
 #include <vector>
 
 #include "explore/cache_store.h"
+#include "explore/result_codec.h"
 #include "explore/spec_hash.h"
-#include "explore/study_graph.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace chiplet::explore {
 
 namespace {
 
-/// Fixed per-entry bookkeeping charge on top of the measured strings
-/// (list/map nodes, StudyResult small members).
-constexpr std::size_t kEntryOverhead = 160;
+using HitDocument = StudyCache::HitDocument;
 
-/// Estimated resident bytes of a cached result, without serialising it
-/// (the server serialises once per response already; doubling that work
-/// on every insert would tax exactly the cold path the cache exists to
-/// absorb).  The table's formatted strings carry the same content the
-/// typed payload holds, so the payload is folded in as a second helping
-/// of the table weight.
-std::size_t approx_result_bytes(const StudyResult& result) {
-    std::size_t strings = result.name.size();
-    for (const std::string& column : result.table.columns) {
-        strings += column.size() + 32;
-    }
-    for (const auto& row : result.table.rows) {
-        strings += 32;
-        for (const std::string& cell : row) strings += cell.size() + 32;
-    }
-    // Explain-enabled results carry itemised ledgers whose strings can
-    // dominate the table's; charge them so the memory bound holds.
-    std::size_t ledger_bytes = 0;
-    for (const StudyLedger& entry : result.ledgers) {
-        ledger_bytes += entry.label.size() + 32;
-        for (const core::CostTerm& term : entry.ledger.terms) {
-            ledger_bytes += term.id.size() + term.label.size() +
-                            term.paper_eq.size() + sizeof(core::CostTerm) + 32;
-        }
-    }
-    return sizeof(StudyResult) + 2 * strings + ledger_bytes;
+std::shared_ptr<const HitDocument> make_hit_document(const StudyResult& result,
+                                                     const ResultText& text) {
+    auto document = std::make_shared<HitDocument>();
+    StudyRunInfo run = result.run;
+    run.from_cache = true;
+    document->json = result_document(text, run);
+    document->cell_hits = run.cell_hits;
+    document->cell_misses = run.cell_misses;
+    document->with_ledgers = run.with_ledgers;
+    return document;
 }
 
 }  // namespace
 
 struct StudyCache::Impl {
+    /// Blob and document are immutable once stored and shared, so a hit
+    /// copies a pointer under the shard lock and decodes or serves
+    /// outside it.
     struct Entry {
         std::uint64_t key = 0;
         std::string canonical;
-        // Immutable once inserted; shared so a hit can copy the pointer
-        // under the shard lock and do the expensive StudyResult copy
-        // outside it (concurrent hits on one shard stay parallel).
-        std::shared_ptr<const StudyResult> result;
+        std::shared_ptr<const std::string> blob;  ///< encode_result body
+        /// Null for an entry loaded from disk until lookup_document
+        /// first serves it.
+        std::shared_ptr<const HitDocument> document;
         std::size_t bytes = 0;
     };
 
@@ -109,6 +91,92 @@ struct StudyCache::Impl {
             ++shard.evictions;
         }
     }
+
+    /// The probe behind both lookups: counts it, and on a hit refreshes
+    /// the entry's LRU position and hands the entry to `on_hit` under
+    /// the shard lock.
+    template <class OnHit>
+    bool probe(const std::string& canonical, std::uint64_t hash,
+               OnHit&& on_hit) {
+        const std::uint64_t masked = hash & mask;
+        Shard& shard = shard_for(masked);
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        const auto it = shard.index.find(masked);
+        if (it == shard.index.end()) {
+            ++shard.misses;
+            return false;
+        }
+        if (it->second->canonical != canonical) {
+            // Hash collision: the slot belongs to a different spec.
+            // Never serve it — fall through to evaluation.
+            ++shard.collisions;
+            ++shard.misses;
+            return false;
+        }
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        ++shard.hits;
+        on_hit(*it->second);
+        return true;
+    }
+
+    /// Inserts or refreshes an entry; `document` may be null (a disk
+    /// load).  Entry weight: the three strings plus kEntryOverhead.
+    void put(const std::string& canonical, std::uint64_t hash,
+             std::shared_ptr<const std::string> blob,
+             std::shared_ptr<const HitDocument> document) {
+        const std::uint64_t masked = hash & mask;
+        const std::size_t bytes = canonical.size() + blob->size() +
+                                  (document ? document->json.size() : 0) +
+                                  kEntryOverhead;
+        Shard& shard = shard_for(masked);
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        if (bytes > shard_budget) {
+            // Caching this entry would evict the whole shard and then
+            // still not fit; keep the shard's working set instead.
+            ++shard.rejected;
+            return;
+        }
+        const auto it = shard.index.find(masked);
+        if (it != shard.index.end()) {
+            // Refresh (same spec) or overwrite (masked-hash collision):
+            // the newest result wins the slot either way.
+            Entry& entry = *it->second;
+            shard.bytes -= entry.bytes;
+            entry.canonical = canonical;
+            entry.blob = std::move(blob);
+            entry.document = std::move(document);
+            entry.bytes = bytes;
+            shard.bytes += bytes;
+            shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        } else {
+            shard.lru.push_front(Entry{masked, canonical, std::move(blob),
+                                       std::move(document), bytes});
+            shard.index.emplace(masked, shard.lru.begin());
+            shard.bytes += bytes;
+        }
+        ++shard.insertions;
+        evict_over_budget(shard);
+    }
+
+    /// Attaches a document built for a loaded entry, unless the entry
+    /// was replaced or evicted meanwhile or would no longer fit its
+    /// shard.  The entry's weight grows by the document.
+    void attach_document(std::uint64_t hash,
+                         const std::shared_ptr<const std::string>& blob,
+                         std::shared_ptr<const HitDocument> document) {
+        const std::uint64_t masked = hash & mask;
+        Shard& shard = shard_for(masked);
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        const auto it = shard.index.find(masked);
+        if (it == shard.index.end()) return;
+        Entry& entry = *it->second;
+        const std::size_t bytes = entry.bytes + document->json.size();
+        if (entry.blob != blob || entry.document || bytes > shard_budget) return;
+        shard.bytes += bytes - entry.bytes;
+        entry.bytes = bytes;
+        entry.document = std::move(document);
+        evict_over_budget(shard);
+    }
 };
 
 StudyCache::StudyCache() : StudyCache(Config{}) {}
@@ -117,84 +185,74 @@ StudyCache::StudyCache(Config config) : impl_(new Impl(config)) {}
 
 StudyCache::~StudyCache() { delete impl_; }
 
-std::optional<StudyResult> StudyCache::lookup(const std::string& canonical,
-                                              std::uint64_t hash) {
-    const std::uint64_t masked = hash & impl_->mask;
-    Impl::Shard& shard = impl_->shard_for(masked);
-    std::shared_ptr<const StudyResult> hit;
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        const auto it = shard.index.find(masked);
-        if (it == shard.index.end()) {
-            ++shard.misses;
-            return std::nullopt;
-        }
-        if (it->second->canonical != canonical) {
-            // Hash collision: the slot belongs to a different spec.
-            // Never serve it — fall through to evaluation.
-            ++shard.collisions;
-            ++shard.misses;
-            return std::nullopt;
-        }
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        ++shard.hits;
-        hit = it->second->result;
+namespace {
+
+StudyResult decode_stored(const std::string& blob) {
+    StudyResult out;
+    if (!decode_result(blob, out)) {
+        // Blobs are encoded in this process or checked by the disk
+        // load; failing to decode one is a codec bug, not a miss.
+        throw Error("study cache: stored result failed to decode");
     }
-    // The deep copy of the result happens outside the shard lock, so
-    // concurrent hits on one shard do not serialise on string copies.
-    StudyResult out = *hit;
     out.run.from_cache = true;
     return out;
 }
 
+}  // namespace
+
+std::optional<StudyResult> StudyCache::lookup(const std::string& canonical,
+                                              std::uint64_t hash) {
+    std::shared_ptr<const std::string> blob;
+    if (!impl_->probe(canonical, hash,
+                      [&](const Impl::Entry& e) { blob = e.blob; })) {
+        return std::nullopt;
+    }
+    return decode_stored(*blob);
+}
+
+std::shared_ptr<const StudyCache::HitDocument> StudyCache::lookup_document(
+    const std::string& canonical, std::uint64_t hash) {
+    std::shared_ptr<const HitDocument> document;
+    std::shared_ptr<const std::string> blob;
+    if (!impl_->probe(canonical, hash, [&](const Impl::Entry& e) {
+            document = e.document;
+            if (!document) blob = e.blob;
+        })) {
+        return nullptr;
+    }
+    if (document) return document;
+    // First serve of an entry loaded from disk: build its document once,
+    // outside the lock.
+    const StudyResult result = decode_stored(*blob);
+    document = make_hit_document(result, result_text(result));
+    impl_->attach_document(hash, blob, document);
+    return document;
+}
+
 void StudyCache::insert(const std::string& canonical, std::uint64_t hash,
                         const StudyResult& result) {
+    insert(canonical, hash, result, result_text(result));
+}
+
+void StudyCache::insert(const std::string& canonical, std::uint64_t hash,
+                        const StudyResult& result, const ResultText& text) {
+    auto blob = std::make_shared<const std::string>(encode_result(result));
     // Write-through to the persistent store first (no shard lock held;
     // the store serialises internally).  Disk is not charged against the
-    // memory bound, so even an entry the shard rejects below is worth
+    // memory bound, so even an entry the shard rejects is worth
     // persisting — it warms the next process start.
     if (StudyCacheStore* store =
             impl_->store.load(std::memory_order_acquire)) {
-        store->put(canonical, hash, result);
+        store->put(canonical, hash, *blob);
     }
-    const std::uint64_t masked = hash & impl_->mask;
-    // Entry weight = canonical key + estimated resident result bytes
-    // (computed outside the lock).
-    const std::size_t bytes =
-        canonical.size() + approx_result_bytes(result) + kEntryOverhead;
+    impl_->put(canonical, hash, std::move(blob),
+               make_hit_document(result, text));
+}
 
-    Impl::Shard& shard = impl_->shard_for(masked);
-    if (bytes > impl_->shard_budget) {
-        // Caching this entry would evict the whole shard and then still
-        // not fit; keep the shard's working set instead.
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        ++shard.rejected;
-        return;
-    }
-    // Snapshot the result outside the lock; entries are immutable after
-    // this (lookup shares the pointer).
-    auto stored = std::make_shared<StudyResult>(result);
-    stored->run.from_cache = false;
-
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(masked);
-    if (it != shard.index.end()) {
-        // Refresh (same spec) or overwrite (masked-hash collision): the
-        // newest result wins the slot either way.
-        shard.bytes -= it->second->bytes;
-        it->second->canonical = canonical;
-        it->second->result = std::move(stored);
-        it->second->bytes = bytes;
-        shard.bytes += bytes;
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    } else {
-        shard.lru.push_front(
-            Impl::Entry{masked, canonical, std::move(stored), bytes});
-        shard.index.emplace(masked, shard.lru.begin());
-        shard.bytes += bytes;
-    }
-    ++shard.insertions;
-    impl_->evict_over_budget(shard);
+void StudyCache::insert_encoded(const std::string& canonical,
+                                std::uint64_t hash, std::string blob) {
+    impl_->put(canonical, hash,
+               std::make_shared<const std::string>(std::move(blob)), nullptr);
 }
 
 std::optional<StudyResult> StudyCache::lookup(const StudySpec& spec) {
@@ -248,56 +306,6 @@ StudyResult run_study_cached(const core::ChipletActuary& actuary,
     StudyResult result = run_study(actuary, spec);
     cache.insert(canonical, hash, result);
     return result;
-}
-
-StudyBatchOutcome run_studies_collecting(const core::ChipletActuary& actuary,
-                                         std::span<const StudySpec> specs,
-                                         StudyCache* cache) {
-    // The compiled execution graph (explore/study_graph.h) shares cost
-    // cells across overlapping studies and serves byte-identical specs
-    // once; payloads stay bit-identical to a serial cacheless loop.
-    StudyGraphRun run = run_study_graph(actuary, specs, cache);
-
-    StudyBatchOutcome out;
-    out.graph = run.stats;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (run.results[i]) {
-            out.results.push_back(*std::move(run.results[i]));
-            out.indices.push_back(i);
-            continue;
-        }
-        StudyFailure failure;
-        failure.index = i;
-        failure.name = specs[i].name;
-        try {
-            std::rethrow_exception(run.errors[i]);
-        } catch (const ParseError& e) {
-            failure.stage = "parse";
-            failure.message = e.what();
-        } catch (const Error& e) {
-            failure.stage = "model";
-            failure.message = e.what();
-        }
-        out.failures.push_back(std::move(failure));
-    }
-    return out;
-}
-
-std::vector<StudyFailure> merge_failures(
-    std::vector<StudyFailure> parse_failures,
-    std::vector<StudyFailure> run_failures,
-    std::span<const std::size_t> kept_indices) {
-    for (StudyFailure& f : run_failures) {
-        f.index = kept_indices[f.index];
-    }
-    parse_failures.insert(parse_failures.end(),
-                          std::make_move_iterator(run_failures.begin()),
-                          std::make_move_iterator(run_failures.end()));
-    std::sort(parse_failures.begin(), parse_failures.end(),
-              [](const StudyFailure& a, const StudyFailure& b) {
-                  return a.index < b.index;
-              });
-    return parse_failures;
 }
 
 }  // namespace chiplet::explore

@@ -6,7 +6,6 @@
 #include "core/scenarios.h"
 #include "explore/cell.h"
 #include "explore/spec_hash.h"
-#include "explore/study_cache.h"
 #include "tech/json_io.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -143,8 +142,6 @@ struct CompiledStudy {
     std::uint64_t hash = 0;
     bool alias = false;        ///< byte-identical to an earlier spec
     std::size_t primary = 0;   ///< that spec's index, when alias
-    bool cached = false;       ///< served by the StudyCache at compile time
-    std::optional<StudyResult> cached_result;
     bool failed = false;       ///< tech overrides failed to apply
     std::exception_ptr error;
     std::size_t group = 0;     ///< TechGroup index, when !alias && !failed
@@ -160,7 +157,8 @@ struct CompiledBatch {
 };
 
 CompiledBatch compile(const core::ChipletActuary& actuary,
-                      std::span<const StudySpec> specs, StudyCache* cache) {
+                      std::span<const StudySpec> specs,
+                      std::span<const std::string> canonicals) {
     CompiledBatch batch;
     batch.studies.resize(specs.size());
     batch.stats.studies = specs.size();
@@ -173,7 +171,8 @@ CompiledBatch compile(const core::ChipletActuary& actuary,
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const StudySpec& spec = specs[i];
         CompiledStudy& cs = batch.studies[i];
-        cs.canonical = canonical_spec_json(spec);
+        cs.canonical =
+            canonicals.empty() ? canonical_spec_json(spec) : canonicals[i];
         cs.hash = fnv1a64(cs.canonical);
 
         // 1. Identical-spec dedup: byte equality of canonical forms is
@@ -187,18 +186,7 @@ CompiledBatch compile(const core::ChipletActuary& actuary,
             continue;
         }
 
-        // 2. Whole-result cache: a hit contributes no cells (and no
-        // evaluation), exactly like the per-study cached path.
-        if (cache != nullptr) {
-            if (std::optional<StudyResult> hit =
-                    cache->lookup(cs.canonical, cs.hash)) {
-                cs.cached = true;
-                cs.cached_result = std::move(hit);
-                continue;
-            }
-        }
-
-        // 3. Tech-override grouping: studies with the same canonical
+        // 2. Tech-override grouping: studies with the same canonical
         // override document share one patched actuary and cell table.
         const std::string group_key = canonicalize(spec.tech_overrides).dump();
         const auto [group_it, new_group] =
@@ -238,7 +226,7 @@ CompiledBatch compile(const core::ChipletActuary& actuary,
             continue;
         }
 
-        // 4. Cell enumeration + interning.
+        // 3. Cell enumeration + interning.
         const core::ChipletActuary& effective =
             group.patched ? *group.patched : actuary;
         std::vector<Cell> cells;
@@ -269,7 +257,7 @@ CompiledBatch compile(const core::ChipletActuary& actuary,
 
 StudyPlan plan_studies(const core::ChipletActuary& actuary,
                        std::span<const StudySpec> specs) {
-    const CompiledBatch batch = compile(actuary, specs, /*cache=*/nullptr);
+    const CompiledBatch batch = compile(actuary, specs, {});
     StudyPlan plan;
     plan.stats = batch.stats;
     plan.studies.reserve(specs.size());
@@ -292,8 +280,8 @@ StudyPlan plan_studies(const core::ChipletActuary& actuary,
 
 StudyGraphRun run_study_graph(const core::ChipletActuary& actuary,
                               std::span<const StudySpec> specs,
-                              StudyCache* cache) {
-    CompiledBatch batch = compile(actuary, specs, cache);
+                              std::span<const std::string> canonicals) {
+    CompiledBatch batch = compile(actuary, specs, canonicals);
 
     // Phase 1: evaluate every group's unique cells, once, slot-ordered
     // on the global pool.  Groups run in first-appearance order; inside
@@ -317,7 +305,7 @@ StudyGraphRun run_study_graph(const core::ChipletActuary& actuary,
         const CompiledStudy& cs = batch.studies[i];
         if (cs.failed) {
             run.errors[i] = cs.error;
-        } else if (!cs.alias && !cs.cached) {
+        } else if (!cs.alias) {
             pending.push_back(i);
         }
     }
@@ -355,21 +343,10 @@ StudyGraphRun run_study_graph(const core::ChipletActuary& actuary,
                           [&](std::size_t k) { reduce_one(pending[k]); });
     }
 
-    if (cache != nullptr) {
-        for (std::size_t i : pending) {
-            if (run.results[i]) {
-                cache->insert(batch.studies[i].canonical, batch.studies[i].hash,
-                              *run.results[i]);
-            }
-        }
-    }
-
-    // Phase 3: fan results out to cache hits and identical-spec aliases.
+    // Phase 3: fan results out to identical-spec aliases.
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        CompiledStudy& cs = batch.studies[i];
-        if (cs.cached) {
-            run.results[i] = std::move(cs.cached_result);
-        } else if (cs.alias) {
+        const CompiledStudy& cs = batch.studies[i];
+        if (cs.alias) {
             if (run.errors[cs.primary]) {
                 run.errors[i] = run.errors[cs.primary];
             } else if (run.results[cs.primary]) {

@@ -82,12 +82,12 @@ struct StudyGraphRun {
     StudyGraphStats stats;
 };
 
-/// Compiles and executes the batch.  With a cache, primaries are looked
-/// up before compilation (hits contribute no cells) and fresh results
-/// are inserted after evaluation.  Per-study cell memo counters land
-/// in each result's StudyRunInfo.
-[[nodiscard]] StudyGraphRun run_study_graph(const core::ChipletActuary& actuary,
-                                            std::span<const StudySpec> specs,
-                                            StudyCache* cache = nullptr);
+/// Compiles and executes the batch.  Per-study cell memo counters land
+/// in each result's StudyRunInfo.  `canonicals`, when not empty, holds
+/// canonical_spec_json of each spec, already computed by the caller (the
+/// server's cache probe), so no spec is canonicalised twice.
+[[nodiscard]] StudyGraphRun run_study_graph(
+    const core::ChipletActuary& actuary, std::span<const StudySpec> specs,
+    std::span<const std::string> canonicals = {});
 
 }  // namespace chiplet::explore

@@ -652,22 +652,37 @@ StudySpec study_spec_from_json(const JsonValue& v, const std::string& context) {
     return spec;
 }
 
-JsonValue to_json(const StudyResult& result) {
+namespace {
+
+JsonValue run_info_to_json(const StudyRunInfo& run) {
     JsonValue meta = JsonValue::object();
-    meta.set("wall_seconds", result.run.wall_seconds);
-    meta.set("threads", result.run.threads);
-    meta.set("cache_hits", static_cast<double>(result.run.cache_hits));
-    meta.set("cache_misses", static_cast<double>(result.run.cache_misses));
-    meta.set("cache_hit_rate", result.run.cache_hit_rate());
-    meta.set("from_cache", result.run.from_cache);
-    meta.set("with_ledgers", result.run.with_ledgers);
+    meta.set("wall_seconds", run.wall_seconds);
+    meta.set("threads", run.threads);
+    meta.set("cache_hits", static_cast<double>(run.cache_hits));
+    meta.set("cache_misses", static_cast<double>(run.cache_misses));
+    meta.set("cache_hit_rate", run.cache_hit_rate());
+    meta.set("from_cache", run.from_cache);
+    meta.set("with_ledgers", run.with_ledgers);
     // Batch cell-memo counters of the study compiler
     // (explore/study_graph.h).  Measurement, like the fields above:
     // "meta" is excluded from golden comparisons.
-    meta.set("cell_hits", static_cast<double>(result.run.cell_hits));
-    meta.set("cell_misses", static_cast<double>(result.run.cell_misses));
-    meta.set("from_batch_dedup", result.run.from_batch_dedup);
+    meta.set("cell_hits", static_cast<double>(run.cell_hits));
+    meta.set("cell_misses", static_cast<double>(run.cell_misses));
+    meta.set("from_batch_dedup", run.from_batch_dedup);
+    return meta;
+}
 
+/// The envelope's keys before "meta": name, kind.
+JsonValue result_head_to_json(const StudyResult& result) {
+    JsonValue v = JsonValue::object();
+    v.set("name", result.name);
+    v.set("kind", to_string(result.kind));
+    return v;
+}
+
+/// Appends the envelope's keys after "meta" to `v`: table, result and,
+/// when present, ledgers.
+void set_result_tail(JsonValue& v, const StudyResult& result) {
     JsonValue columns = JsonValue::array();
     for (const std::string& c : result.table.columns) columns.push_back(c);
     JsonValue rows = JsonValue::array();
@@ -680,10 +695,6 @@ JsonValue to_json(const StudyResult& result) {
     table.set("columns", std::move(columns));
     table.set("rows", std::move(rows));
 
-    JsonValue v = JsonValue::object();
-    v.set("name", result.name);
-    v.set("kind", to_string(result.kind));
-    v.set("meta", std::move(meta));
     v.set("table", std::move(table));
     v.set("result", std::visit([](const auto& p) { return payload_to_json(p); },
                                result.payload));
@@ -694,12 +705,44 @@ JsonValue to_json(const StudyResult& result) {
         for (const StudyLedger& entry : result.ledgers) {
             JsonValue item = JsonValue::object();
             item.set("label", entry.label);
-            item.set("ledger", to_json(entry.ledger));
+            item.set("ledger", explore::to_json(entry.ledger));
             ledgers.push_back(std::move(item));
         }
         v.set("ledgers", std::move(ledgers));
     }
+}
+
+}  // namespace
+
+JsonValue to_json(const StudyResult& result) {
+    JsonValue v = result_head_to_json(result);
+    v.set("meta", run_info_to_json(result.run));
+    set_result_tail(v, result);
     return v;
+}
+
+ResultText result_text(const StudyResult& result) {
+    // Compact dumps are "{" + key:value pairs joined by "," + "}", so the
+    // two halves of the envelope dump on their own and splice exactly.
+    ResultText text;
+    text.head = result_head_to_json(result).dump();
+    text.head.back() = ',';
+    text.head += "\"meta\":";
+    JsonValue tail = JsonValue::object();
+    set_result_tail(tail, result);
+    text.tail = tail.dump();
+    text.tail.front() = ',';
+    return text;
+}
+
+std::string result_document(const ResultText& text, const StudyRunInfo& run) {
+    const std::string meta = run_info_to_json(run).dump();
+    std::string out;
+    out.reserve(text.head.size() + meta.size() + text.tail.size());
+    out += text.head;
+    out += meta;
+    out += text.tail;
+    return out;
 }
 
 JsonValue studies_to_json(std::span<const StudySpec> specs) {

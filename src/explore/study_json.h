@@ -50,6 +50,24 @@ namespace chiplet::explore {
 /// Result envelope (one-way).
 [[nodiscard]] JsonValue to_json(const StudyResult& result);
 
+/// to_json(result).dump() cut around the value of "meta": `head` is
+/// `{"name":...,"kind":...,"meta":` and `tail` is
+/// `,"table":...,"result":...}` (ledgers, when present, before the
+/// closing brace).  The served document and the study cache's hit
+/// document differ only in meta.from_cache, so a result is serialised
+/// once and each use splices its own small meta object in.
+struct ResultText {
+    std::string head;
+    std::string tail;
+};
+[[nodiscard]] ResultText result_text(const StudyResult& result);
+
+/// head + the dumped meta object of `run` + tail: byte-identical to
+/// to_json(result).dump() for the result `text` came from, with its run
+/// info replaced by `run`.
+[[nodiscard]] std::string result_document(const ResultText& text,
+                                          const StudyRunInfo& run);
+
 /// Whole-document helpers.
 [[nodiscard]] JsonValue studies_to_json(std::span<const StudySpec> specs);
 [[nodiscard]] std::vector<StudySpec> studies_from_json(

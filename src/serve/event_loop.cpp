@@ -283,25 +283,35 @@ struct EventLoop::Impl {
     }
 
     /// Runs queued frames while the connection's turn allows it: no job
-    /// in flight, output below the bound, not closing.  The whole batch
-    /// is corked and flushed with one send(2) at the end.
+    /// in flight, output below the bound, not closing.  Each batch is
+    /// corked and flushed with one send(2).  Frames answered inline leave
+    /// no completion behind to resume the queue, so this keeps going for
+    /// as long as a flush makes room; it stops only on a job in flight
+    /// (its completion drains again), an empty queue, a close, or a full
+    /// output queue (the connection is paused, and the write that
+    /// releases it drains again).
     bool drain_pending(Conn& c) {
         if (c.in_drain) return true;
-        c.in_drain = true;
-        c.corked = true;
-        while (!c.job_in_flight && !c.pending.empty() &&
-               !c.close_after_flush &&
-               c.unsent() < config.max_output_bytes) {
-            std::string frame = std::move(c.pending.front());
-            c.pending.pop_front();
-            c.pending_bytes -= frame.size();
-            --counters.queued_frames;
-            (void)run_frame(c, std::move(frame));  // corked: cannot close
-        }
-        c.in_drain = false;
-        c.corked = false;
         const int fd = c.fd;
-        if (!flush(c)) return false;
+        const auto can_run = [&] {
+            return !c.job_in_flight && !c.pending.empty() &&
+                   !c.close_after_flush &&
+                   c.unsent() < config.max_output_bytes;
+        };
+        while (can_run()) {
+            c.in_drain = true;
+            c.corked = true;
+            while (can_run()) {
+                std::string frame = std::move(c.pending.front());
+                c.pending.pop_front();
+                c.pending_bytes -= frame.size();
+                --counters.queued_frames;
+                (void)run_frame(c, std::move(frame));  // corked: cannot close
+            }
+            c.in_drain = false;
+            c.corked = false;
+            if (!flush(c)) return false;
+        }
         maybe_close_drained(c);
         return conns.find(fd) != conns.end();
     }
@@ -350,7 +360,10 @@ struct EventLoop::Impl {
             (void)queue_response(c, oversized_encoder(false));
         }
         c.corked = false;
-        (void)flush(c);  // one send(2) for the whole pipelined burst
+        if (!flush(c)) return;  // one send(2) for the whole pipelined burst
+        // Frames parked behind a full output queue that this flush has
+        // emptied have no completion coming to run them.
+        if (!c.job_in_flight && !c.pending.empty()) (void)drain_pending(c);
     }
 
     void handle_readable(int fd) {

@@ -175,7 +175,7 @@ JsonValue failures_to_json(std::span<const explore::StudyFailure> failures) {
     return v;
 }
 
-std::string encode_run_response(JsonArray result_docs,
+std::string encode_run_response(std::span<const std::string_view> result_docs,
                                 std::span<const explore::StudyFailure> failures,
                                 const RunMeta& meta, const Envelope& envelope) {
     JsonValue meta_json = JsonValue::object();
@@ -187,12 +187,39 @@ std::string encode_run_response(JsonArray result_docs,
     meta_json.set("with_ledgers", static_cast<double>(meta.with_ledgers));
     meta_json.set("dispatched", static_cast<double>(meta.dispatched));
     meta_json.set("graph", graph_stats_to_json(meta.graph));
+    const std::string failures_text = failures_to_json(failures).dump();
+    const std::string meta_text = meta_json.dump();
 
-    JsonValue v = response_root(envelope);
-    v.set("results", std::move(result_docs));
-    v.set("failures", failures_to_json(failures));
-    v.set("meta", std::move(meta_json));
-    return v.dump();
+    // The compact dump of {<envelope>,"results":[...],"failures":...,
+    // "meta":...}, assembled around the documents instead of re-dumping
+    // them.
+    std::string out = response_root(envelope).dump();
+    out.pop_back();
+    if (out.size() > 1) out.push_back(',');
+    std::size_t size = out.size() + failures_text.size() + meta_text.size() + 40;
+    for (const std::string_view doc : result_docs) size += doc.size() + 1;
+    out.reserve(size);
+    out += "\"results\":[";
+    for (std::size_t i = 0; i < result_docs.size(); ++i) {
+        if (i > 0) out.push_back(',');
+        out += result_docs[i];
+    }
+    out += "],\"failures\":";
+    out += failures_text;
+    out += ",\"meta\":";
+    out += meta_text;
+    out.push_back('}');
+    return out;
+}
+
+std::string encode_run_response(const JsonArray& result_docs,
+                                std::span<const explore::StudyFailure> failures,
+                                const RunMeta& meta, const Envelope& envelope) {
+    std::vector<std::string> texts;
+    texts.reserve(result_docs.size());
+    for (const JsonValue& doc : result_docs) texts.push_back(doc.dump());
+    const std::vector<std::string_view> views(texts.begin(), texts.end());
+    return encode_run_response(views, failures, meta, envelope);
 }
 
 std::string encode_ok(Verb verb, const Envelope& envelope) {
@@ -253,6 +280,7 @@ std::string encode_metrics_response(const MetricsSnapshot& metrics,
     server.set("errors", static_cast<double>(metrics.errors));
     server.set("ledger_results", static_cast<double>(metrics.ledger_results));
     server.set("dispatched", static_cast<double>(metrics.dispatched));
+    server.set("inline_runs", static_cast<double>(metrics.inline_runs));
 
     JsonValue loop = JsonValue::object();
     loop.set("connections_live",

@@ -38,7 +38,8 @@
 //             "server":{... incl. "ledger_results"},
 //             "graph":{... incl. "cell_refs"/"unique_cells"},
 //             "model_version":"...","threads":N}
-//   metrics  {"op":"metrics","ok":true,"server":{...},"loop":{...},
+//   metrics  {"op":"metrics","ok":true,"server":{... incl. "inline_runs"},
+//             "loop":{...},
 //             "cache":{...},"cells":{...},"disk":{"persistent":B,
 //             "loaded","stale","corrupt","writes","write_failures"},
 //             "model_version":"...","threads":N}
@@ -58,6 +59,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "explore/cache_store.h"
@@ -148,6 +150,8 @@ struct MetricsSnapshot {
     std::uint64_t errors = 0;
     std::uint64_t ledger_results = 0;
     std::uint64_t dispatched = 0;
+    std::uint64_t inline_runs = 0;  ///< all-hit run frames answered on
+                                    ///< the loop thread
     // -- loop gauges, instantaneous ---------------------------------------
     std::uint64_t connections_live = 0;
     std::uint64_t in_flight = 0;          ///< frames being evaluated off-loop
@@ -179,12 +183,17 @@ struct MetricsSnapshot {
 [[nodiscard]] JsonValue failures_to_json(
     std::span<const explore::StudyFailure> failures);
 
-/// `result_docs` entries are already-serialised Study API result
-/// envelopes — explore::to_json(StudyResult) for locally evaluated
-/// studies, the dispatcher's merged envelope for sharded ones.  Taken by
-/// value: the server moves its documents in rather than copying them.
+/// `result_docs` entries are dumped Study API result envelopes —
+/// explore::to_json(StudyResult) text for evaluated studies, a study
+/// cache hit document, or the dispatcher's merged envelope — spliced
+/// into the "results" array as they are.
 [[nodiscard]] std::string encode_run_response(
-    JsonArray result_docs,
+    std::span<const std::string_view> result_docs,
+    std::span<const explore::StudyFailure> failures, const RunMeta& meta,
+    const Envelope& envelope = {});
+/// The same response from parsed documents: dumps each and forwards.
+[[nodiscard]] std::string encode_run_response(
+    const JsonArray& result_docs,
     std::span<const explore::StudyFailure> failures, const RunMeta& meta,
     const Envelope& envelope = {});
 [[nodiscard]] std::string encode_ok(Verb verb, const Envelope& envelope = {});

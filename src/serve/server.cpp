@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/version.h"
+#include "explore/spec_hash.h"
 #include "explore/study_json.h"
 #include "serve/dispatcher.h"
 #include "serve/event_loop.h"
@@ -38,6 +39,7 @@ struct StudyServer::Impl {
     std::atomic<std::uint64_t> errors{0};
     std::atomic<std::uint64_t> ledger_results{0};
     std::atomic<std::uint64_t> dispatched{0};
+    std::atomic<std::uint64_t> inline_runs{0};
     // Lifetime study-compiler counters, summed over every locally
     // evaluated run batch (explore/study_graph.h).
     std::atomic<std::uint64_t> graph_spec_dedups{0};
@@ -82,7 +84,22 @@ struct StudyServer::Impl {
     [[nodiscard]] std::string stats_response(const Envelope& envelope);
     [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
     [[nodiscard]] std::string health_response(const Envelope& envelope);
-    [[nodiscard]] std::string run_response(Request request);
+    /// A run request after the loop thread's cache probe; slot i of
+    /// each vector belongs to request.studies[i].
+    struct ProbedRun {
+        Request request;
+        /// Canonical spec and its hash; empty for dispatcher-routed
+        /// studies, which are never cached.
+        std::vector<std::string> canonicals;
+        std::vector<std::uint64_t> hashes;
+        /// The cache's hit document, null for a study to evaluate.
+        std::vector<std::shared_ptr<const explore::StudyCache::HitDocument>>
+            hits;
+        std::size_t misses = 0;
+    };
+    /// Canonicalises every study once, hashes it and probes the cache.
+    [[nodiscard]] ProbedRun probe(Request request);
+    [[nodiscard]] std::string run_response(ProbedRun& run);
     [[nodiscard]] FrameAction on_frame(std::string&& line);
     void announce_shutdown_now();
     [[nodiscard]] bool accepting() const;
@@ -131,6 +148,7 @@ MetricsSnapshot StudyServer::Impl::metrics_snapshot() const {
     m.errors = errors.load();
     m.ledger_results = ledger_results.load();
     m.dispatched = dispatched.load();
+    m.inline_runs = inline_runs.load();
     m.graph_spec_dedups = graph_spec_dedups.load();
     m.graph_cell_refs = graph_cell_refs.load();
     m.graph_unique_cells = graph_unique_cells.load();
@@ -179,25 +197,60 @@ void StudyServer::Impl::announce_shutdown_now() {
     shutdown_cv.notify_all();
 }
 
-/// Evaluates one run request end to end and encodes the response.
-/// Runs on an executor thread; must never throw — a serving process
-/// answers rather than dies.
-std::string StudyServer::Impl::run_response(Request request) {
+StudyServer::Impl::ProbedRun StudyServer::Impl::probe(Request request) {
+    ProbedRun run;
+    const std::size_t n = request.studies.size();
+    run.canonicals.resize(n);
+    run.hashes.resize(n);
+    run.hits.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const explore::StudySpec& spec = request.studies[i];
+        if (dispatcher && Dispatcher::can_shard(spec)) {
+            ++run.misses;  // sharded to workers, never cached
+            continue;
+        }
+        run.canonicals[i] = explore::canonical_spec_json(spec);
+        run.hashes[i] = explore::fnv1a64(run.canonicals[i]);
+        run.hits[i] = cache.lookup_document(run.canonicals[i], run.hashes[i]);
+        if (!run.hits[i]) ++run.misses;
+    }
+    run.request = std::move(request);
+    return run;
+}
+
+/// Answers one probed run request: serves the hits' stored documents,
+/// evaluates the misses and encodes the response.  Runs inline on the
+/// loop thread when nothing missed, on an executor thread otherwise;
+/// must never throw — a serving process answers rather than dies.
+std::string StudyServer::Impl::run_response(ProbedRun& run) {
     using Clock = std::chrono::steady_clock;
+    Request& request = run.request;
     const Envelope envelope = request.envelope;
     try {
         const auto start = Clock::now();
+        const std::size_t n = request.studies.size();
+        RunMeta meta;
+        std::uint64_t with_ledgers = 0;
+        for (const auto& hit : run.hits) {
+            if (!hit) continue;
+            ++meta.served_from_cache;
+            cell_hits += hit->cell_hits;
+            cell_misses += hit->cell_misses;
+            if (hit->with_ledgers) ++with_ledgers;
+        }
 
-        // Partition: studies the dispatcher shards across workers,
-        // design_space studies run one by one, and everything else
-        // evaluated in-process as one compiled batch.  Positions are
-        // indices into request.studies (the batch), remapped to document
+        // Partition the misses: studies the dispatcher shards across
+        // workers, design_space studies run one by one, and everything
+        // else evaluated in-process as one compiled batch.  Positions
+        // are indices into request.studies, remapped to document
         // positions via study_indices at the end.
         std::vector<explore::StudySpec> local_specs;
+        std::vector<std::string> local_canonicals;
         std::vector<std::size_t> local_positions;
         std::vector<std::size_t> shard_positions;
         std::vector<std::size_t> search_positions;
-        for (std::size_t i = 0; i < request.studies.size(); ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
+            if (run.hits[i]) continue;
             const explore::StudySpec& spec = request.studies[i];
             if (dispatcher && Dispatcher::can_shard(spec)) {
                 shard_positions.push_back(i);
@@ -206,50 +259,56 @@ std::string StudyServer::Impl::run_response(Request request) {
             } else {
                 local_positions.push_back(i);
                 local_specs.push_back(spec);
+                local_canonicals.push_back(run.canonicals[i]);
             }
         }
 
-        explore::StudyBatchOutcome outcome = explore::run_studies_collecting(
-            actuary, local_specs, &cache);
-
-        // One response slot per batch position; failures leave theirs
-        // empty and results stream out in batch order.
-        std::vector<std::optional<JsonValue>> docs(request.studies.size());
-        std::uint64_t with_ledgers = 0;
-        RunMeta meta;
-        meta.graph = outcome.graph;
-        graph_spec_dedups += outcome.graph.spec_dedups;
-        graph_cell_refs += outcome.graph.cell_refs;
-        graph_unique_cells += outcome.graph.unique_cells;
-        graph_deduped_cells += outcome.graph.deduped_cells;
-        const auto serve_result = [&](const explore::StudyResult& r,
-                                      std::size_t position) {
+        // Documents of the studies evaluated here, by position.  Each
+        // result is serialised once: the response and the cache's hit
+        // document splice their own meta into the same text.
+        std::vector<std::string> texts(n);
+        const auto serve_evaluated = [&](const explore::StudyResult& r,
+                                         std::size_t i) {
             cell_hits += r.run.cell_hits;
             cell_misses += r.run.cell_misses;
-            if (r.run.from_cache) ++meta.served_from_cache;
             if (r.run.with_ledgers) ++with_ledgers;
-            docs[position] = explore::to_json(r);
+            const explore::ResultText text = explore::result_text(r);
+            texts[i] = explore::result_document(text, r.run);
+            // An in-frame duplicate copies a result that is being
+            // inserted under the same canonical already.
+            if (!r.run.from_batch_dedup) {
+                cache.insert(run.canonicals[i], run.hashes[i], r, text);
+            }
         };
-        for (std::size_t k = 0; k < outcome.results.size(); ++k) {
-            serve_result(outcome.results[k],
-                         local_positions[outcome.indices[k]]);
-        }
 
         std::vector<explore::StudyFailure> run_failures;
-        for (explore::StudyFailure& f : outcome.failures) {
-            f.index = local_positions[f.index];
-            run_failures.push_back(std::move(f));
+        if (!local_specs.empty()) {
+            explore::StudyBatchOutcome outcome =
+                explore::run_studies_collecting(actuary, local_specs,
+                                                local_canonicals);
+            meta.graph = outcome.graph;
+            graph_spec_dedups += outcome.graph.spec_dedups;
+            graph_cell_refs += outcome.graph.cell_refs;
+            graph_unique_cells += outcome.graph.unique_cells;
+            graph_deduped_cells += outcome.graph.deduped_cells;
+            for (std::size_t k = 0; k < outcome.results.size(); ++k) {
+                serve_evaluated(outcome.results[k],
+                                local_positions[outcome.indices[k]]);
+            }
+            for (explore::StudyFailure& f : outcome.failures) {
+                f.index = local_positions[f.index];
+                run_failures.push_back(std::move(f));
+            }
         }
 
         // A design_space study skips the batch compiler.  The cell memo
         // the compiler attaches keeps explore_design_space on its
         // reference scan, 7-10x slower than the kernel path, and every
         // later request on the connection waits for this one's answer.
-        // The study cache still serves and stores it.
         for (const std::size_t i : search_positions) {
             const explore::StudySpec& spec = request.studies[i];
             try {
-                serve_result(explore::run_study_cached(actuary, spec, cache), i);
+                serve_evaluated(explore::run_study(actuary, spec), i);
             } catch (const ParseError& e) {
                 run_failures.push_back(
                     explore::StudyFailure{i, spec.name, "parse", e.what()});
@@ -261,8 +320,8 @@ std::string StudyServer::Impl::run_response(Request request) {
 
         for (const std::size_t i : shard_positions) {
             try {
-                docs[i] = dispatcher->run_sharded(actuary,
-                                                  request.studies[i]);
+                texts[i] =
+                    dispatcher->run_sharded(actuary, request.studies[i]).dump();
                 ++meta.dispatched;
                 ++dispatched;
             } catch (const std::exception& e) {
@@ -276,9 +335,16 @@ std::string StudyServer::Impl::run_response(Request request) {
                                     std::move(run_failures),
                                     request.study_indices);
 
-        JsonArray result_docs;
-        for (std::optional<JsonValue>& doc : docs) {
-            if (doc) result_docs.push_back(std::move(*doc));
+        // Results stream out in batch order; failed positions hold
+        // neither a hit nor a text.
+        std::vector<std::string_view> docs;
+        docs.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (run.hits[i]) {
+                docs.emplace_back(run.hits[i]->json);
+            } else if (!texts[i].empty()) {
+                docs.emplace_back(texts[i]);
+            }
         }
 
         meta.cache = cache.stats();
@@ -292,8 +358,7 @@ std::string StudyServer::Impl::run_response(Request request) {
         // responses sent).
         ++requests;
         ledger_results += with_ledgers;
-        return encode_run_response(std::move(result_docs), failures, meta,
-                                   envelope);
+        return encode_run_response(docs, failures, meta, envelope);
     } catch (const ParseError& e) {
         ++errors;
         return encode_error("parse", e.what(), envelope);
@@ -307,16 +372,18 @@ std::string StudyServer::Impl::run_response(Request request) {
 }
 
 /// Event-loop frame handler: cheap verbs answer inline on the loop
-/// thread, run requests become executor jobs.  Parsing happens here —
-/// bounded by max_line_bytes — so a malformed frame answers without an
-/// executor round trip.
+/// thread, and so do run requests whose studies all hit the cache — the
+/// answer is a splice of stored bytes, cheaper than an executor hop.
+/// Other run requests become executor jobs that evaluate only their
+/// misses.  Parsing and the cache probe happen here — parsing bounded
+/// by max_line_bytes — so a malformed frame answers without an executor
+/// round trip.
 FrameAction StudyServer::Impl::on_frame(std::string&& line) {
     FrameAction action;
     Envelope envelope;
     try {
-        auto request =
-            std::make_shared<Request>(parse_request(line, &envelope));
-        switch (request->verb) {
+        Request request = parse_request(line, &envelope);
+        switch (request.verb) {
             case Verb::ping:
                 action.response = encode_ok(Verb::ping, envelope);
                 break;
@@ -335,11 +402,16 @@ FrameAction StudyServer::Impl::on_frame(std::string&& line) {
                 action.close_after = true;
                 action.announce_shutdown = true;
                 break;
-            case Verb::run:
-                action.job = [this, request] {
-                    return run_response(std::move(*request));
-                };
+            case Verb::run: {
+                auto run = std::make_shared<ProbedRun>(probe(std::move(request)));
+                if (run->misses == 0) {
+                    ++inline_runs;
+                    action.response = run_response(*run);
+                } else {
+                    action.job = [this, run] { return run_response(*run); };
+                }
                 break;
+            }
         }
     } catch (const ParseError& e) {
         ++errors;
@@ -434,7 +506,7 @@ explore::StudyCache& StudyServer::cache() { return impl_->cache; }
 StudyServer::Stats StudyServer::stats() const {
     return Stats{impl_->total_connections(), impl_->requests.load(),
                  impl_->errors.load(), impl_->ledger_results.load(),
-                 impl_->dispatched.load()};
+                 impl_->dispatched.load(), impl_->inline_runs.load()};
 }
 
 MetricsSnapshot StudyServer::metrics() const {

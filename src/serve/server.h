@@ -1,12 +1,16 @@
 // actuaryd: a long-lived evaluation server over local TCP.  Accepts
 // concurrent clients speaking the newline-framed JSON protocol of
-// serve/protocol.h (v0 and v1); run requests are answered from the
-// canonical-spec result cache (explore/study_cache.h) when possible and
-// otherwise batched onto the process-global thread pool via
-// explore::run_studies_collecting, so responses are bit-identical to a
-// serial run_study of the same specs.  design_space studies skip the
-// batch compiler and run one by one through explore::run_study_cached,
-// on the kernel path the compiler's cell memo would turn off.
+// serve/protocol.h (v0 and v1).  The loop thread canonicalises every
+// study of a run request once and probes the canonical-spec result
+// cache (explore/study_cache.h).  A request whose studies all hit is
+// answered right there, from the entries' stored documents, without an
+// executor hop or any re-serialisation.  Otherwise an executor
+// evaluates only the misses — as one batch through
+// explore::run_studies_collecting, except design_space studies, which
+// skip the batch compiler and run one by one through explore::run_study
+// on the kernel path the compiler's cell memo would turn off — and
+// inserts each fresh result under the canonical it already holds.
+// Responses are bit-identical to a serial run_study of the same specs.
 //
 //   core::ChipletActuary actuary;
 //   serve::StudyServer server(actuary, {.port = 0});  // 0 = ephemeral
@@ -111,6 +115,9 @@ public:
         std::uint64_t ledger_results = 0;
         /// Studies answered by range-sharded dispatch, lifetime.
         std::uint64_t dispatched = 0;
+        /// Run requests answered on the loop thread because every study
+        /// hit the cache, lifetime.
+        std::uint64_t inline_runs = 0;
     };
     [[nodiscard]] Stats stats() const;
 

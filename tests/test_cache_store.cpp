@@ -142,6 +142,50 @@ TEST_F(CacheStoreTest, CodecRejectsDamage) {
 
 // ---- persistence round trip -------------------------------------------------
 
+TEST_F(CacheStoreTest, LoadedEntriesBuildTheirHitDocumentOnFirstServe) {
+    // A loaded entry holds the blob it was read with; its hit document
+    // is built when lookup_document first serves it, equal to the one a
+    // live insert stores, and the entry's weight grows by exactly it.
+    const std::vector<StudySpec> specs = {sweep_spec("a"), mc_spec("c")};
+    StudyCache live;
+    {
+        StudyCacheStore store({dir_, 0});
+        live.attach_store(&store);
+        for (const StudySpec& spec : specs) {
+            (void)run_study_cached(actuary_, spec, live);
+        }
+        live.attach_store(nullptr);
+    }
+    StudyCacheStore store({dir_, 0});
+    StudyCache cache;
+    store.load_into(cache);
+    ASSERT_EQ(store.stats().loaded, specs.size());
+
+    std::size_t expected = 0;
+    std::vector<std::string> canonicals;
+    for (const StudySpec& spec : specs) {
+        canonicals.push_back(canonical_spec_json(spec));
+        expected += canonicals.back().size() +
+                    encode_result(run_study(actuary_, spec)).size() +
+                    StudyCache::kEntryOverhead;
+    }
+    EXPECT_EQ(cache.stats().bytes, expected);
+
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const std::uint64_t hash = fnv1a64(canonicals[i]);
+        const auto document = cache.lookup_document(canonicals[i], hash);
+        const auto stored = live.lookup_document(canonicals[i], hash);
+        ASSERT_TRUE(document && stored) << specs[i].name;
+        EXPECT_EQ(document->json, stored->json) << specs[i].name;
+        EXPECT_EQ(document->json, to_json(*cache.lookup(specs[i])).dump());
+        expected += document->json.size();
+        EXPECT_EQ(cache.stats().bytes, expected) << specs[i].name;
+        // Served again, the same document: built once.
+        EXPECT_EQ(cache.lookup_document(canonicals[i], hash), document);
+    }
+    EXPECT_EQ(cache.stats().bytes, live.stats().bytes);
+}
+
 TEST_F(CacheStoreTest, WarmStartIsBitIdenticalToCold) {
     const JsonDiffOptions exact = exact_options();
     const std::vector<StudySpec> specs = {sweep_spec("a"), pareto_spec("b"),
@@ -184,7 +228,7 @@ TEST_F(CacheStoreTest, StaleFingerprintEntriesAreIgnoredWholesale) {
         StudyCacheStore old_model({dir_, 0xDEADBEEFull});
         old_model.put(canonical_spec_json(spec),
                       fnv1a64(canonical_spec_json(spec)),
-                      run_study(actuary_, spec));
+                      encode_result(run_study(actuary_, spec)));
     }
     StudyCacheStore store({dir_, 0});  // 0 = the real model fingerprint
     StudyCache cache;
@@ -205,7 +249,8 @@ TEST_F(CacheStoreTest, CorruptEntriesDegradeToAColdCacheNotACrash) {
     const std::string canonical = canonical_spec_json(spec);
     {
         StudyCacheStore store({dir_, 0});
-        store.put(canonical, fnv1a64(canonical), run_study(actuary_, spec));
+        store.put(canonical, fnv1a64(canonical),
+                  encode_result(run_study(actuary_, spec)));
     }
     const std::vector<std::string> files = entry_files();
     ASSERT_EQ(files.size(), 1u);
@@ -259,13 +304,13 @@ TEST_F(CacheStoreTest, TwoStoresSharingOneDirectoryStayConsistent) {
     std::thread ta([&] {
         for (std::size_t i = 0; i < specs.size(); ++i) {
             const std::string canonical = canonical_spec_json(specs[i]);
-            a.put(canonical, fnv1a64(canonical), results[i]);
+            a.put(canonical, fnv1a64(canonical), encode_result(results[i]));
         }
     });
     std::thread tb([&] {
         for (std::size_t i = specs.size(); i-- > 0;) {
             const std::string canonical = canonical_spec_json(specs[i]);
-            b.put(canonical, fnv1a64(canonical), results[i]);
+            b.put(canonical, fnv1a64(canonical), encode_result(results[i]));
         }
     });
     ta.join();

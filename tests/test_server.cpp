@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -323,6 +326,162 @@ TEST_F(ServerTest, DesignSpaceStudiesRunOutsideTheBatchCompiler) {
     EXPECT_EQ(failures[0].at("name").as_string(), "bad_search");
     EXPECT_EQ(failures[0].at("stage").as_string(), "model");
     EXPECT_EQ(failures[0].at("index").as_number(), 1.0);
+}
+
+TEST_F(ServerTest, PartialHitFrameEvaluatesOnlyItsMisses) {
+    // One frame: a hit, a miss, a bad study, an in-frame duplicate of
+    // the miss, and a design_space miss.  One line: embedded newlines
+    // would split the frame.
+    const std::string hit =
+        R"({"name":"hit","kind":"breakeven","config":{}})";
+    const std::string miss =
+        R"({"name":"miss","kind":"quantity_sweep","config":{"quantities":[1e6,2e6]}})";
+    const std::string bad = R"({"name":"bad","kind":"wat","config":{}})";
+    const std::string search =
+        R"({"name":"search","kind":"design_space","config":)"
+        R"({"nodes":["7nm","5nm"],"chiplet_counts":[1,2,3]}})";
+    const std::string frame = R"({"studies":[)" + hit + "," + miss + "," +
+                              bad + "," + miss + "," + search + "]}";
+    std::vector<StudySpec> good;
+    for (const std::string* doc : {&hit, &miss, &miss, &search}) {
+        good.push_back(explore::study_spec_from_json(JsonValue::parse(*doc)));
+    }
+    const JsonValue reference = serial_results(actuary_, good);
+
+    StudyClient client = connect();
+    (void)client.run({&good[0], 1});  // makes "hit" a hit
+    const explore::StudyCache::Stats before = server_->cache().stats();
+
+    const auto check = [&](const JsonValue& response) {
+        EXPECT_EQ(diff_results(response, reference), "");
+        const JsonArray& failures = response.at("failures").as_array();
+        ASSERT_EQ(failures.size(), 1u);
+        EXPECT_EQ(failures[0].at("name").as_string(), "bad");
+        EXPECT_EQ(failures[0].at("stage").as_string(), "parse");
+        EXPECT_EQ(failures[0].at("index").as_number(), 2.0);
+    };
+
+    const JsonValue cold = client.call(frame);
+    check(cold);
+    const explore::StudyCache::Stats after = server_->cache().stats();
+    const JsonValue& cold_meta = cold.at("meta");
+    EXPECT_EQ(cold_meta.at("served_from_cache").as_number(), 1.0);
+    EXPECT_EQ(after.hits + after.misses - before.hits - before.misses,
+              good.size())
+        << "one probe per good study";
+    EXPECT_EQ(after.hits - before.hits, 1u);
+    // The duplicate is a copy of the miss, and is not inserted again.
+    EXPECT_EQ(after.insertions - before.insertions, 2u);
+    EXPECT_TRUE(cold.at("results").as_array()[2].at("meta").at(
+        "from_batch_dedup").as_bool());
+    EXPECT_EQ(cold_meta.at("graph").at("spec_dedups").as_number(), 1.0);
+    EXPECT_GT(cold_meta.at("graph").at("cell_refs").as_number(), 0.0);
+
+    // Resent, every good study hits: answered on the loop thread, with
+    // nothing compiled.
+    const std::uint64_t inline_before = server_->stats().inline_runs;
+    const JsonValue warm = client.call(frame);
+    check(warm);
+    const JsonValue& warm_meta = warm.at("meta");
+    EXPECT_EQ(warm_meta.at("served_from_cache").as_number(),
+              static_cast<double>(good.size()));
+    EXPECT_EQ(server_->stats().inline_runs, inline_before + 1);
+    EXPECT_EQ(warm_meta.at("graph").at("cell_refs").as_number(), 0.0);
+    EXPECT_EQ(warm_meta.at("graph").at("unique_cells").as_number(), 0.0);
+    for (const JsonValue& result : warm.at("results").as_array()) {
+        EXPECT_TRUE(result.at("meta").at("from_cache").as_bool());
+    }
+    const explore::StudyCache::Stats resent = server_->cache().stats();
+    EXPECT_EQ(resent.hits - after.hits, good.size());
+    EXPECT_EQ(resent.misses, after.misses);
+}
+
+TEST_F(ServerTest, ModelFailuresRepeatWhileTheRestIsServedFromCache) {
+    const std::string frame =
+        R"({"studies":[)"
+        R"({"name":"good","kind":"pareto","config":{"points":[{"x":1,"y":2},{"x":2,"y":1}]}},)"
+        R"({"name":"bad_node","kind":"breakeven","config":{"node":"not_a_node"}},)"
+        R"({"name":"good","kind":"pareto","config":{"points":[{"x":1,"y":2},{"x":2,"y":1}]}})"
+        R"(]})";
+    StudyClient client = connect();
+    for (int round = 0; round < 2; ++round) {
+        const JsonValue response = client.call(frame);
+        const JsonArray& results = response.at("results").as_array();
+        ASSERT_EQ(results.size(), 2u);
+        const JsonArray& failures = response.at("failures").as_array();
+        ASSERT_EQ(failures.size(), 1u);
+        EXPECT_EQ(failures[0].at("index").as_number(), 1.0);
+        EXPECT_EQ(failures[0].at("name").as_string(), "bad_node");
+        EXPECT_EQ(failures[0].at("stage").as_string(), "model");
+        EXPECT_FALSE(failures[0].at("message").as_string().empty());
+        if (round == 1) {
+            // Everything that can be cached is; the failure is repeated.
+            EXPECT_EQ(response.at("meta").at("served_from_cache").as_number(),
+                      2.0);
+            EXPECT_TRUE(results[0].at("meta").at("from_cache").as_bool());
+            EXPECT_TRUE(results[1].at("meta").at("from_cache").as_bool());
+        }
+    }
+    EXPECT_EQ(server_->stats().inline_runs, 0u)
+        << "a frame with a miss goes to an executor";
+}
+
+/// A monte_carlo spec that takes at least `seconds` to evaluate in this
+/// build: the draw count is scaled from a timed probe, so the bound holds
+/// under sanitizers and in Debug builds alike.
+StudySpec slow_spec(const core::ChipletActuary& actuary,
+                    const std::string& name, double seconds) {
+    StudySpec spec;
+    spec.name = name;
+    explore::McStudyConfig config;
+    config.scenario.node = "5nm";
+    config.scenario.packaging = "MCM";
+    config.scenario.module_area_mm2 = 800.0;
+    config.scenario.chiplets = 2;
+    config.draws = 20000;
+    spec.config = config;
+    const auto start = std::chrono::steady_clock::now();
+    (void)explore::run_study(actuary, spec);
+    const double probe =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+    config.draws = static_cast<unsigned>(
+        config.draws * std::ceil(seconds / std::max(probe, 1e-4)));
+    spec.config = config;
+    return spec;
+}
+
+TEST_F(ServerTest, HitsDoNotQueueBehindEvaluation) {
+    // Both executors busy with cold frames of a second or more, then an
+    // all-hit frame on a third connection: it is answered on the loop
+    // thread while both evaluations are still in flight.
+    StudySpec hit;
+    hit.name = "hit";
+    hit.config = explore::BreakevenQuery{};
+    StudyClient warm = connect();
+    (void)warm.run({&hit, 1});
+
+    const std::vector<StudySpec> slow = {slow_spec(actuary_, "slow_a", 1.0),
+                                         slow_spec(actuary_, "slow_b", 1.0)};
+    ASSERT_EQ(config_.eval_workers, 2u);
+    StudyClient a = connect();
+    StudyClient b = connect();
+    a.send_line(encode_run_request({&slow[0], 1}));
+    b.send_line(encode_run_request({&slow[1], 1}));
+    while (server_->metrics().in_flight < 2) std::this_thread::yield();
+
+    StudyClient c = connect();
+    const JsonValue answer = c.run({&hit, 1});
+    EXPECT_EQ(server_->metrics().in_flight, 2u)
+        << "a slow frame was answered before the hit";
+    EXPECT_EQ(answer.at("meta").at("served_from_cache").as_number(), 1.0);
+    EXPECT_EQ(diff_results(answer, serial_results(actuary_, {hit})), "");
+
+    for (StudyClient* client : {&a, &b}) {
+        const JsonValue response = JsonValue::parse(client->read_line());
+        EXPECT_EQ(response.at("results").as_array().size(), 1u);
+        EXPECT_EQ(response.at("meta").at("served_from_cache").as_number(), 0.0);
+    }
 }
 
 TEST_F(ServerTest, ShutdownVerbStopsAcceptingAndWaitReturns) {

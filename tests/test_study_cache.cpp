@@ -1,11 +1,13 @@
 // The canonical-spec result cache (explore/study_cache.h): exact hits,
-// LRU eviction order, memory-bound enforcement, collision fall-through
-// through the hash_bits seam, counter accuracy, thread safety, and spec
-// identity down to the last bit of every number.
+// hit documents byte-identical to the result they store, LRU eviction
+// order, exact entry weights and memory-bound enforcement, collision
+// fall-through through the hash_bits seam, counter accuracy, thread
+// safety, and spec identity down to the last bit of every number.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -14,6 +16,7 @@
 
 #include "core/actuary.h"
 #include "explore/cache_store.h"
+#include "explore/result_codec.h"
 #include "explore/spec_hash.h"
 #include "explore/study.h"
 #include "explore/study_cache.h"
@@ -201,39 +204,6 @@ TEST_F(StudyCacheTest, RunStudyCachedMissThenHit) {
     EXPECT_EQ(cache.stats().misses, 1u);
 }
 
-TEST_F(StudyCacheTest, CollectingBatchRecordsModelFailures) {
-    StudyCache cache;
-    std::vector<StudySpec> specs;
-    specs.push_back(pareto_spec("good"));
-    StudySpec bad;
-    bad.name = "bad_node";
-    BreakevenQuery query;
-    query.node = "not_a_node";
-    bad.config = query;
-    specs.push_back(bad);
-    specs.push_back(pareto_spec("good"));  // duplicate: cache hit
-
-    const StudyBatchOutcome outcome =
-        run_studies_collecting(actuary_, specs, &cache);
-    ASSERT_EQ(outcome.results.size(), 2u);
-    ASSERT_EQ(outcome.failures.size(), 1u);
-    EXPECT_EQ(outcome.indices, (std::vector<std::size_t>{0, 2}));
-    EXPECT_EQ(outcome.failures[0].index, 1u);
-    EXPECT_EQ(outcome.failures[0].name, "bad_node");
-    EXPECT_EQ(outcome.failures[0].stage, "model");
-    EXPECT_FALSE(outcome.failures[0].message.empty());
-    // Whether the in-batch duplicate hits depends on scheduling (the
-    // two copies may evaluate concurrently), so only the re-run has a
-    // deterministic expectation: everything cached, failure repeated.
-    const StudyBatchOutcome warm =
-        run_studies_collecting(actuary_, specs, &cache);
-    ASSERT_EQ(warm.results.size(), 2u);
-    EXPECT_TRUE(warm.results[0].run.from_cache);
-    EXPECT_TRUE(warm.results[1].run.from_cache);
-    ASSERT_EQ(warm.failures.size(), 1u);
-    EXPECT_EQ(warm.failures[0].name, "bad_node");
-}
-
 /// Two quantity_sweep specs that differ only in the 15th significant
 /// digit of module_area_mm2.
 std::vector<StudySpec> near_twin_specs() {
@@ -309,6 +279,144 @@ TEST_F(StudyCacheTest, SpecsDifferingInThe15thDigitKeepTheirOwnResults) {
     std::filesystem::remove_all(dir);
 }
 
+/// One small spec of each of the ten kinds, then an explain spec whose
+/// result carries cost ledgers.
+std::vector<StudySpec> spec_per_kind_and_explain() {
+    const std::string scenario =
+        R"({"node":"5nm","packaging":"MCM","module_area_mm2":800,)"
+        R"("chiplets":2,"d2d_fraction":0.1,"quantity":2e6})";
+    const std::vector<std::string> docs = {
+        R"({"name":"re","kind":"re_sweep","config":{"nodes":["7nm"],)"
+        R"("packagings":["SoC","MCM"],"chiplet_counts":[2],"areas_mm2":[200,500]}})",
+        R"({"name":"qty","kind":"quantity_sweep","config":{"quantities":[5e5,2e6]}})",
+        R"({"name":"mc","kind":"monte_carlo","config":{"scenario":)" + scenario +
+            R"(,"draws":64,"seed":7}})",
+        R"({"name":"sens","kind":"sensitivity","config":{"scenario":)" +
+            scenario + "}}",
+        R"({"name":"tor","kind":"tornado","config":{"scenario":)" + scenario +
+            "}}",
+        R"({"name":"brk","kind":"breakeven","config":{}})",
+        R"({"name":"par","kind":"pareto","config":{"points":)"
+        R"([{"x":1,"y":3},{"x":2,"y":1},{"x":3,"y":2}]}})",
+        R"({"name":"rec","kind":"recommend","config":{"max_chiplets":3}})",
+        R"({"name":"tl","kind":"timeline","config":{"scenario":)" + scenario +
+            R"(,"months":12,"step_months":3}})",
+        R"({"name":"ds","kind":"design_space","config":{"nodes":["7nm","12nm"],)"
+        R"("chiplet_counts":[1,2],"packagings":["SoC","MCM"],"quantities":[1e6],"top_k":4}})",
+        R"({"name":"explained","kind":"quantity_sweep","explain":true,)"
+        R"("config":{"quantities":[1e6]}})",
+    };
+    std::vector<StudySpec> specs;
+    for (const std::string& doc : docs) {
+        specs.push_back(study_spec_from_json(JsonValue::parse(doc)));
+    }
+    return specs;
+}
+
+/// The exact weight an entry for `spec` -> `result` is charged.
+std::size_t entry_weight(const StudySpec& spec, const StudyResult& result) {
+    StudyRunInfo run = result.run;
+    run.from_cache = true;
+    return canonical_spec_json(spec).size() + encode_result(result).size() +
+           result_document(result_text(result), run).size() +
+           StudyCache::kEntryOverhead;
+}
+
+TEST_F(StudyCacheTest, HitDocumentsAreTheStoredResultsDumped) {
+    const std::vector<StudySpec> specs = spec_per_kind_and_explain();
+    ASSERT_EQ(specs.size(), 11u);
+    StudyCache cache;
+    std::size_t weights = 0;
+    for (const StudySpec& spec : specs) {
+        const StudyResult fresh = run_study(actuary_, spec);
+
+        // The head/meta/tail splice is the whole dump, byte for byte,
+        // whichever from_cache value is spliced in.
+        const ResultText text = result_text(fresh);
+        for (const bool from_cache : {false, true}) {
+            StudyResult flagged = fresh;
+            flagged.run.from_cache = from_cache;
+            EXPECT_EQ(result_document(text, flagged.run),
+                      to_json(flagged).dump())
+                << spec.name << " from_cache=" << from_cache;
+        }
+
+        cache.insert(spec, fresh);
+        weights += entry_weight(spec, fresh);
+        const std::string canonical = canonical_spec_json(spec);
+        const std::uint64_t hash = fnv1a64(canonical);
+        const std::shared_ptr<const StudyCache::HitDocument> document =
+            cache.lookup_document(canonical, hash);
+        const std::optional<StudyResult> hit = cache.lookup(canonical, hash);
+        ASSERT_TRUE(document) << spec.name;
+        ASSERT_TRUE(hit.has_value()) << spec.name;
+        EXPECT_TRUE(hit->run.from_cache);
+        EXPECT_EQ(document->json, to_json(*hit).dump()) << spec.name;
+        EXPECT_EQ(document->cell_hits, fresh.run.cell_hits);
+        EXPECT_EQ(document->cell_misses, fresh.run.cell_misses);
+        EXPECT_EQ(document->with_ledgers, fresh.run.with_ledgers);
+    }
+    EXPECT_TRUE(run_study(actuary_, specs.back()).run.with_ledgers)
+        << "the explain spec must carry ledgers for this test to mean anything";
+
+    const StudyCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.entries, specs.size());
+    EXPECT_EQ(stats.bytes, weights) << "entry weights are exact";
+    // lookup_document and lookup each count one probe.
+    EXPECT_EQ(stats.hits, 2 * specs.size());
+    EXPECT_EQ(stats.misses, 0u);
+    const std::string absent = canonical_spec_json(pareto_spec("absent"));
+    EXPECT_EQ(cache.lookup_document(absent, fnv1a64(absent)), nullptr);
+    EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST_F(StudyCacheTest, BoundHoldsExactlyUnderEviction) {
+    // Entries of several sizes through one shard whose budget fits the
+    // first three exactly: the resident bytes must equal the summed
+    // weights of the entries a reference LRU keeps, after every insert.
+    std::vector<StudySpec> specs;
+    std::vector<StudyResult> results;
+    std::vector<std::size_t> weights;
+    for (const std::string name : {"a", "bb", "ccc", "dddd", "e", "ffffff"}) {
+        specs.push_back(pareto_spec(name));
+        results.push_back(run_study(actuary_, specs.back()));
+        weights.push_back(entry_weight(specs.back(), results.back()));
+    }
+    StudyCache::Config config;
+    config.shards = 1;
+    config.max_bytes = weights[0] + weights[1] + weights[2];
+    StudyCache cache(config);
+
+    std::deque<std::size_t> lru;  // front = most recent
+    std::size_t resident = 0;
+    std::uint64_t evictions = 0;
+    for (int round = 0; round < 2; ++round) {
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            cache.insert(specs[i], results[i]);
+            for (auto it = lru.begin(); it != lru.end(); ++it) {
+                if (*it == i) {
+                    resident -= weights[i];
+                    lru.erase(it);
+                    break;
+                }
+            }
+            lru.push_front(i);
+            resident += weights[i];
+            while (resident > config.max_bytes) {
+                resident -= weights[lru.back()];
+                lru.pop_back();
+                ++evictions;
+            }
+            const StudyCache::Stats stats = cache.stats();
+            EXPECT_EQ(stats.bytes, resident) << "round " << round << " i " << i;
+            EXPECT_LE(stats.bytes, config.max_bytes);
+            EXPECT_EQ(stats.entries, lru.size());
+            EXPECT_EQ(stats.evictions, evictions);
+        }
+    }
+    EXPECT_GT(evictions, 0u);
+}
+
 TEST_F(StudyCacheTest, ConcurrentLookupsAndInsertsAreSafe) {
     // Hammer one cache from several threads; correctness here is "no
     // crash/race under ASan and coherent counters", not ordering.
@@ -332,6 +440,13 @@ TEST_F(StudyCacheTest, ConcurrentLookupsAndInsertsAreSafe) {
                     static_cast<std::size_t>((t + i) % 8);
                 if (i % 3 == 0) {
                     cache.insert(specs[k], results[k]);
+                } else if (i % 3 == 1) {
+                    const std::string canonical = canonical_spec_json(specs[k]);
+                    if (const auto document = cache.lookup_document(
+                            canonical, fnv1a64(canonical))) {
+                        EXPECT_NE(document->json.find(specs[k].name),
+                                  std::string::npos);
+                    }
                 } else if (std::optional<StudyResult> hit =
                                cache.lookup(specs[k])) {
                     EXPECT_EQ(hit->name, specs[k].name);

@@ -15,7 +15,6 @@
 #include "explore/pareto.h"
 #include "explore/spec_hash.h"
 #include "explore/study.h"
-#include "explore/study_cache.h"
 #include "explore/study_graph.h"
 #include "explore/study_json.h"
 #include "explore/sweep.h"
@@ -205,32 +204,44 @@ TEST_F(StudyGraphTest, CellAndSpecDedupCountersAreExact) {
     specs.push_back(quantity_spec("qb", {2e6, 4e6}));
     specs.push_back(quantity_spec("qa", {1e6, 2e6}));
 
-    const StudyBatchOutcome outcome = run_studies_collecting(actuary_, specs);
-    ASSERT_EQ(outcome.results.size(), 3u);
-    EXPECT_TRUE(outcome.failures.empty());
+    // Canonical forms the caller already holds (the server's cache
+    // probe) compile the same batch as forms computed here.
+    std::vector<std::string> canonicals;
+    for (const StudySpec& spec : specs) {
+        canonicals.push_back(canonical_spec_json(spec));
+    }
+    for (const bool precomputed : {false, true}) {
+        SCOPED_TRACE(precomputed ? "precomputed canonicals" : "computed here");
+        const StudyBatchOutcome outcome = run_studies_collecting(
+            actuary_, specs,
+            precomputed ? std::span<const std::string>(canonicals)
+                        : std::span<const std::string>());
+        ASSERT_EQ(outcome.results.size(), 3u);
+        EXPECT_TRUE(outcome.failures.empty());
 
-    EXPECT_EQ(outcome.graph.studies, 3u);
-    EXPECT_EQ(outcome.graph.spec_dedups, 1u);
-    EXPECT_EQ(outcome.graph.tech_groups, 1u);
-    EXPECT_EQ(outcome.graph.cell_refs, 8u);       // 4 + 4, alias adds none
-    EXPECT_EQ(outcome.graph.unique_cells, 6u);    // 2e6 column shared
-    EXPECT_EQ(outcome.graph.deduped_cells, 2u);
-    EXPECT_DOUBLE_EQ(outcome.graph.dedup_ratio(), 2.0 / 8.0);
+        EXPECT_EQ(outcome.graph.studies, 3u);
+        EXPECT_EQ(outcome.graph.spec_dedups, 1u);
+        EXPECT_EQ(outcome.graph.tech_groups, 1u);
+        EXPECT_EQ(outcome.graph.cell_refs, 8u);       // 4 + 4, alias adds none
+        EXPECT_EQ(outcome.graph.unique_cells, 6u);    // 2e6 column shared
+        EXPECT_EQ(outcome.graph.deduped_cells, 2u);
+        EXPECT_DOUBLE_EQ(outcome.graph.dedup_ratio(), 2.0 / 8.0);
 
-    // Every single-system evaluation of a fully enumerated sweep is a
-    // memo hit; nothing is priced twice.
-    EXPECT_EQ(outcome.results[0].run.cell_hits, 4u);
-    EXPECT_EQ(outcome.results[0].run.cell_misses, 0u);
-    EXPECT_EQ(outcome.results[1].run.cell_hits, 4u);
-    EXPECT_EQ(outcome.results[1].run.cell_misses, 0u);
+        // Every single-system evaluation of a fully enumerated sweep is a
+        // memo hit; nothing is priced twice.
+        EXPECT_EQ(outcome.results[0].run.cell_hits, 4u);
+        EXPECT_EQ(outcome.results[0].run.cell_misses, 0u);
+        EXPECT_EQ(outcome.results[1].run.cell_hits, 4u);
+        EXPECT_EQ(outcome.results[1].run.cell_misses, 0u);
 
-    // The duplicate is a copy of its primary, flagged as such.
-    EXPECT_FALSE(outcome.results[0].run.from_batch_dedup);
-    EXPECT_TRUE(outcome.results[2].run.from_batch_dedup);
-    const JsonDiffOptions exact = exact_options();
-    EXPECT_EQ(json_diff(to_json(outcome.results[2]),
-                        to_json(outcome.results[0]), exact),
-              "");
+        // The duplicate is a copy of its primary, flagged as such.
+        EXPECT_FALSE(outcome.results[0].run.from_batch_dedup);
+        EXPECT_TRUE(outcome.results[2].run.from_batch_dedup);
+        const JsonDiffOptions exact = exact_options();
+        EXPECT_EQ(json_diff(to_json(outcome.results[2]),
+                            to_json(outcome.results[0]), exact),
+                  "");
+    }
 }
 
 TEST_F(StudyGraphTest, ReSweepBaselineSharesTheNormalizationCell) {
@@ -397,33 +408,6 @@ TEST_F(StudyGraphTest, OneBadStudyLeavesTheRestOfTheBatchIntact) {
 
     // The throwing wrapper preserves the original exception type.
     EXPECT_THROW((void)run_studies(actuary_, specs), LookupError);
-}
-
-// ---- cache interaction ------------------------------------------------------
-
-TEST_F(StudyGraphTest, CacheHitsContributeNoCells) {
-    std::vector<StudySpec> specs;
-    specs.push_back(quantity_spec("qa", {1e6, 2e6}));
-    StudyCache cache;
-
-    const StudyBatchOutcome cold =
-        run_studies_collecting(actuary_, specs, &cache);
-    ASSERT_EQ(cold.results.size(), 1u);
-    EXPECT_FALSE(cold.results[0].run.from_cache);
-    EXPECT_EQ(cold.graph.cell_refs, 4u);
-
-    const StudyBatchOutcome warm =
-        run_studies_collecting(actuary_, specs, &cache);
-    ASSERT_EQ(warm.results.size(), 1u);
-    EXPECT_TRUE(warm.results[0].run.from_cache);
-    // A cache hit skips compilation for that study entirely.
-    EXPECT_EQ(warm.graph.cell_refs, 0u);
-    EXPECT_EQ(warm.graph.unique_cells, 0u);
-
-    const JsonDiffOptions exact = exact_options();
-    EXPECT_EQ(json_diff(to_json(warm.results[0]), to_json(cold.results[0]),
-                        exact),
-              "");
 }
 
 }  // namespace
